@@ -6,11 +6,11 @@ Subcommands::
     python -m repro fuzz --trials 100             # differential fuzzing
     python -m repro bench --smoke --only vector   # hot-path microbenchmarks
     python -m repro pipeline --theta 0.75 --rate 30 --observe
-    python -m repro pipeline --engine vector       # numpy event-batch core
+    python -m repro pipeline --engine optimized    # the scalar event loop
     python -m repro pipeline --shards 4 --jobs 4   # sharded scale-out
     python -m repro pipeline --surrogate --quick   # analytical screen + top-K DES
     python -m repro serve --epochs 12 --elastic --slo 0.05 --drift release:3
-    python -m repro serve --engine vector --shards 2 --jobs 2
+    python -m repro serve --shards 2 --jobs 2
     python -m repro observe-report trace.jsonl --chart
 
 ``experiments``, ``fuzz`` and ``bench`` delegate verbatim to the
@@ -32,15 +32,19 @@ import sys
 
 def _shared_sim_flags(parser) -> None:
     """Flags whose meaning is identical across ``pipeline`` and ``serve``."""
+    from .cluster_sim import DEFAULT_ENGINE, ENGINES
+
     parser.add_argument(
         "--engine",
-        default="optimized",
-        choices=("optimized", "vector", "reference", "audited"),
+        default=DEFAULT_ENGINE,
+        choices=sorted(ENGINES),
         help=(
-            "lockstep simulation engine: optimized (tuple-heap loop, "
-            "default), vector (numpy event-batch core), reference "
-            "(readable oracle), audited (optimized + invariant auditors); "
-            "all engines produce identical results"
+            "lockstep simulation engine (default: %(default)s): vector "
+            "(numpy event-batch core; hands dynamic dispatch, chaos, "
+            "backbone and observed runs to optimized), optimized "
+            "(tuple-heap loop), reference (readable oracle), audited "
+            "(optimized + invariant auditors); all engines produce "
+            "identical results"
         ),
     )
     parser.add_argument(

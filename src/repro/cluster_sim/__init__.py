@@ -25,7 +25,13 @@ Extensions layered on the same event machinery:
 """
 
 from .batching import BatchingClusterSimulator, BatchingResult
-from .engines import ENGINES, engine_run_kwargs, make_simulator, validate_engine
+from .engines import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    engine_run_kwargs,
+    make_simulator,
+    validate_engine,
+)
 from .dispatch import (
     Dispatcher,
     FirstFitDispatcher,
@@ -64,6 +70,7 @@ from .vector import VectorClusterSimulator
 __all__ = [
     "BatchingClusterSimulator",
     "BatchingResult",
+    "DEFAULT_ENGINE",
     "ENGINES",
     "engine_run_kwargs",
     "make_simulator",

@@ -45,19 +45,6 @@ def failover_order(
     return sorted(holders, key=lambda s: servers[s].utilization)
 
 
-def _replica_servers(layout: ReplicaLayout) -> list[tuple[int, ...]]:
-    """Per-video tuples of replica-holding server ids (ascending).
-
-    Plain ``int`` tuples, not numpy arrays: the simulator's request loop
-    iterates candidates per request, and numpy scalar boxing there costs
-    more than the whole admission check.
-    """
-    return [
-        tuple(int(s) for s in layout.servers_of(video))
-        for video in range(layout.num_videos)
-    ]
-
-
 class Dispatcher(abc.ABC):
     """Maps a request for a video to an ordered list of candidate servers.
 
@@ -70,7 +57,9 @@ class Dispatcher(abc.ABC):
     name: str = "dispatcher"
 
     def __init__(self, layout: ReplicaLayout) -> None:
-        self._servers_of = _replica_servers(layout)
+        # Shared, immutable per-layout table: building a dispatcher per
+        # run costs nothing after the layout's first run.
+        self._servers_of = layout.holder_table.holders
 
     def holders(self, video: int) -> tuple[int, ...]:
         """Servers holding a replica of *video* (ascending ids)."""

@@ -4,13 +4,16 @@ All engines consume the same constructor arguments and produce
 ``same_outcome``-identical :class:`~repro.cluster_sim.metrics.SimulationResult`
 fields; they differ only in *how* the event loop executes:
 
-``optimized``
-    The tuple-heap production loop (:class:`VoDClusterSimulator`) — the
-    default everywhere.
 ``vector``
     Numpy event-batch execution over the SoA columns
-    (:class:`~repro.cluster_sim.vector.VectorClusterSimulator`); fastest
-    on the paper's base model, delegates to ``optimized`` elsewhere.
+    (:class:`~repro.cluster_sim.vector.VectorClusterSimulator`) — the
+    default (:data:`DEFAULT_ENGINE`).  Batched on the paper's base model
+    (static round robin, no chaos, no backbone); everywhere else it hands
+    the run to ``optimized`` and says why in the result's
+    ``handoff_reason``.
+``optimized``
+    The tuple-heap event loop (:class:`VoDClusterSimulator`): the
+    ``vector`` engine's delegate, and the explicit scalar loop.
 ``reference``
     The readable method-per-event loop (:class:`ReferenceClusterSimulator`)
     retained as the differential-testing oracle.
@@ -31,7 +34,17 @@ from .reference import ReferenceClusterSimulator
 from .simulator import VoDClusterSimulator
 from .vector import VectorClusterSimulator
 
-__all__ = ["ENGINES", "engine_run_kwargs", "make_simulator", "validate_engine"]
+__all__ = [
+    "DEFAULT_ENGINE",
+    "ENGINES",
+    "engine_run_kwargs",
+    "make_simulator",
+    "validate_engine",
+]
+
+#: The engine every ``engine=`` knob and the CLI ``--engine`` flag default
+#: to.  All engines are ``same_outcome``-identical, so this only picks speed.
+DEFAULT_ENGINE = "vector"
 
 #: Engine name -> simulator class.  ``audited`` reuses the optimized
 #: class; its auditors are armed per ``run()`` call via

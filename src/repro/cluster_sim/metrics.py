@@ -43,6 +43,16 @@ class SimulationResult:
         Wall-clock time of the simulation run.  Excluded from
         :meth:`same_outcome`: it varies run to run while every semantic
         field is deterministic.
+    engine_path / handoff_reason / vector_fallbacks:
+        Provenance of the run, not part of its outcome: the event loop
+        that actually executed (``"vector"``, ``"optimized"``,
+        ``"reference"`` or ``"audited"``); why the ``vector`` engine
+        handed the run to another loop (``"auditors"``, ``"observer"``,
+        ``"chaos"``, ``"backbone"`` or ``"dispatcher"``; ``None`` when it
+        did not); and, on the ``vector`` path, how many servers took the
+        exact scalar replay instead of the batched solve.  ``None`` means
+        not recorded (e.g. a result-cache hit).  Excluded from
+        :meth:`same_outcome`, like ``wall_time_sec``.
     """
 
     num_requests: int
@@ -79,6 +89,9 @@ class SimulationResult:
     #: no failures occurred — never None, so equality stays structural).
     server_downtime_min: np.ndarray | None = field(default=None, repr=False)
     wall_time_sec: float = 0.0
+    engine_path: str | None = None
+    handoff_reason: str | None = None
+    vector_fallbacks: int | None = None
 
     def __post_init__(self) -> None:
         if self.server_downtime_min is None:
@@ -166,8 +179,9 @@ class SimulationResult:
     def same_outcome(self, other: "SimulationResult") -> bool:
         """True when every deterministic field matches bit-for-bit.
 
-        Wall-clock time is the only field allowed to differ: it depends on
-        the machine, not the simulated system.  This is the equality the
+        Wall-clock time and the engine provenance fields are the only
+        fields allowed to differ: they describe how the run executed, not
+        the simulated system.  This is the equality the
         parallel-vs-serial determinism guarantee is stated in.
         """
         scalars = (

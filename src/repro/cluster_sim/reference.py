@@ -374,4 +374,5 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
             ),
             server_downtime_min=np.asarray(downtime),
             wall_time_sec=time.perf_counter() - start_wall,
+            engine_path="reference",
         )

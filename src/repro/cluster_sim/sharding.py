@@ -217,6 +217,13 @@ def merge_results(
     def concat(name: str) -> np.ndarray:
         return np.concatenate([getattr(r, name) for r in results])
 
+    def common(name: str):
+        # Provenance survives the merge only where every shard agrees.
+        values = {getattr(r, name) for r in results}
+        return values.pop() if len(values) == 1 else None
+
+    fallbacks = [r.vector_fallbacks for r in results]
+
     return SimulationResult(
         num_requests=sum(r.num_requests for r in results),
         num_rejected=sum(r.num_rejected for r in results),
@@ -242,6 +249,9 @@ def merge_results(
         ),
         server_downtime_min=concat("server_downtime_min"),
         wall_time_sec=max(r.wall_time_sec for r in results),
+        engine_path=common("engine_path"),
+        handoff_reason=common("handoff_reason"),
+        vector_fallbacks=None if None in fallbacks else sum(fallbacks),
     )
 
 

@@ -827,6 +827,7 @@ class VoDClusterSimulator:
             ),
             server_downtime_min=np.asarray(downtime),
             wall_time_sec=time.perf_counter() - start_wall,
+            engine_path="optimized",
         )
         if observer is not None:
             observer.record_simulation(

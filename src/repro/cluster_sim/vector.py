@@ -53,12 +53,13 @@ randomized crossings and the full pinned fuzz corpus.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from heapq import heappop, heappush
 
 import numpy as np
 
 from .._validation import check_positive
-from .dispatch import StaticRoundRobinDispatcher, _replica_servers
+from .dispatch import StaticRoundRobinDispatcher
 from .metrics import SimulationResult
 from .simulator import VoDClusterSimulator
 from .soa import RequestSoA
@@ -126,42 +127,38 @@ class VectorClusterSimulator(VoDClusterSimulator):
         throughput-critical configuration.  Everything else (dynamic
         dispatchers, chaos, redirection, observation, auditing) runs the
         optimized event loop, so results are lockstep-identical across
-        the whole configuration space either way.
+        the whole configuration space either way; the result's
+        ``handoff_reason`` names the first condition that forced the
+        hand-off.
         """
-        if (
-            auditors
-            or observer is not None
-            or (failures is not None and len(failures) > 0)
-            or self._backbone_mbps > 0
-            or self._dispatcher_factory is not StaticRoundRobinDispatcher
-        ):
-            return super().run(
-                trace,
-                horizon_min=horizon_min,
-                failures=failures,
-                failover_on_down=failover_on_down,
-                failover=failover,
-                rereplication=rereplication,
-                auditors=auditors,
-                observer=observer,
-            )
-        return self._run_batched(trace, horizon_min)
+        reason = self._handoff_reason(auditors, observer, failures)
+        if reason is None:
+            return self._run_batched(trace, horizon_min)
+        result = super().run(
+            trace,
+            horizon_min=horizon_min,
+            failures=failures,
+            failover_on_down=failover_on_down,
+            failover=failover,
+            rereplication=rereplication,
+            auditors=auditors,
+            observer=observer,
+        )
+        return replace(result, handoff_reason=reason)
 
-    # ------------------------------------------------------------------
-    def _static_rr_tables(self):
-        """Flattened per-video holder lists (cached; layout is immutable)."""
-        tables = getattr(self, "_rr_tables", None)
-        if tables is None:
-            holders = _replica_servers(self._layout)
-            counts = np.array([len(h) for h in holders], dtype=np.int64)
-            offsets = np.zeros(len(holders) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            flat = np.array(
-                [s for hs in holders for s in hs], dtype=np.int64
-            )
-            tables = (flat, offsets[:-1], counts)
-            self._rr_tables = tables
-        return tables
+    def _handoff_reason(self, auditors, observer, failures) -> str | None:
+        """Why this run cannot take the batched path (``None``: it can)."""
+        if auditors:
+            return "auditors"
+        if observer is not None:
+            return "observer"
+        if failures is not None and len(failures) > 0:
+            return "chaos"
+        if self._backbone_mbps > 0:
+            return "backbone"
+        if self._dispatcher_factory is not StaticRoundRobinDispatcher:
+            return "dispatcher"
+        return None
 
     # ------------------------------------------------------------------
     def _run_batched(self, trace, horizon_min) -> SimulationResult:
@@ -186,7 +183,8 @@ class VectorClusterSimulator(VoDClusterSimulator):
             videos, minlength=num_videos
         ).astype(np.int64, copy=False)
 
-        flat, offsets, hcounts = self._static_rr_tables()
+        holders = self._layout.holder_table
+        flat, offsets, hcounts = holders.flat, holders.offsets, holders.counts
         # A request for a replica-less video is rejected before dispatch
         # (no counter tick); everything else consumes one round-robin
         # tick and lands on exactly one candidate server.
@@ -207,6 +205,7 @@ class VectorClusterSimulator(VoDClusterSimulator):
         server_integral = np.zeros(num_servers)
         server_served = np.zeros(num_servers, dtype=np.int64)
         deps_processed = 0
+        fallbacks = 0
 
         if vs.size:
             order_s = np.argsort(sid, kind="stable")
@@ -224,6 +223,7 @@ class VectorClusterSimulator(VoDClusterSimulator):
                     ts[sel], rates[sel], ends[sel], cap, maxs, horizon_min
                 )
                 if outcome is None:
+                    fallbacks += 1
                     outcome = self._scalar_server(
                         ts[sel], rates[sel], ends[sel], cap, maxs,
                         horizon_min,
@@ -256,6 +256,8 @@ class VectorClusterSimulator(VoDClusterSimulator):
             num_truncated=soa.num_truncated,
             num_events=int(n) + int(deps_processed),
             wall_time_sec=time.perf_counter() - start_wall,
+            engine_path="vector",
+            vector_fallbacks=fallbacks,
         )
 
     # ------------------------------------------------------------------

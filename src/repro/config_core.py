@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .cluster_sim import make_dispatcher_factory, validate_engine
+from .cluster_sim import DEFAULT_ENGINE, make_dispatcher_factory, validate_engine
 from .experiments.config import PaperSetup
 
 __all__ = ["SimulationConfig", "core_field_names"]
@@ -38,10 +38,12 @@ class SimulationConfig:
         Run-time dispatcher (``static_rr``, ``least_loaded``, ``first_fit``).
     engine:
         Lockstep simulation engine (see
-        :data:`repro.cluster_sim.ENGINES`): ``optimized`` (default),
-        ``vector`` (numpy event-batch core), ``reference`` (readable
-        oracle loop) or ``audited`` (optimized + in-situ invariant
-        auditors).  All engines are ``same_outcome``-identical.
+        :data:`repro.cluster_sim.ENGINES`): ``vector`` (default; numpy
+        event-batch core that hands dynamic dispatch, chaos, backbone and
+        observed runs to ``optimized``), ``optimized`` (tuple-heap loop),
+        ``reference`` (readable oracle loop) or ``audited`` (optimized +
+        in-situ invariant auditors).  All engines are
+        ``same_outcome``-identical.
     backbone_mbps:
         Backbone capacity for cross-server redirection (0 disables).
     failures:
@@ -71,7 +73,7 @@ class SimulationConfig:
     theta: float = 0.75
     replication_degree: float = 1.2
     dispatcher: str = "static_rr"
-    engine: str = "optimized"
+    engine: str = DEFAULT_ENGINE
     backbone_mbps: float = 0.0
     failures: object = None
     failover: object = None

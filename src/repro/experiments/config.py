@@ -17,12 +17,24 @@ reconstructed from internal consistency (see DESIGN.md Sec. 3):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .._validation import check_int_in_range, check_positive
 from ..model import ClusterSpec, ReplicationProblem, VideoCollection
 from ..popularity import ZipfPopularity
 
 __all__ = ["PaperSetup"]
+
+
+@lru_cache(maxsize=32, typed=True)
+def _homogeneous_videos(
+    num_videos: int, bit_rate_mbps: float, duration_min: float
+) -> VideoCollection:
+    # VideoCollection is immutable, so every setup with the same catalogue
+    # parameters can share one instance.
+    return VideoCollection.homogeneous(
+        num_videos, bit_rate_mbps=bit_rate_mbps, duration_min=duration_min
+    )
 
 
 @dataclass(frozen=True)
@@ -89,10 +101,9 @@ class PaperSetup:
     # Object builders
     # ------------------------------------------------------------------
     def videos(self) -> VideoCollection:
-        return VideoCollection.homogeneous(
-            self.num_videos,
-            bit_rate_mbps=self.bit_rate_mbps,
-            duration_min=self.duration_min,
+        """The homogeneous catalogue (one shared instance per parameters)."""
+        return _homogeneous_videos(
+            self.num_videos, self.bit_rate_mbps, self.duration_min
         )
 
     def popularity(self, theta: float) -> ZipfPopularity:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,11 +25,48 @@ from .._validation import check_int_in_range, check_probability_vector
 from .cluster import ClusterSpec
 from .video import MEGABITS_PER_GB, VideoCollection
 
-__all__ = ["ReplicaLayout", "LayoutViolation"]
+__all__ = ["ReplicaLayout", "LayoutViolation", "HolderTable"]
 
 
 class LayoutViolation(ValueError):
     """Raised when a layout violates one of the paper's constraints."""
+
+
+class HolderTable(NamedTuple):
+    """Replica holders of every video, in the two shapes the engines use.
+
+    ``holders[v]`` is the ascending tuple of plain-``int`` server ids
+    holding video ``v`` (the per-request loops iterate these; numpy scalar
+    boxing there would cost more than the admission check).  ``flat``,
+    ``offsets`` and ``counts`` are the same lists flattened for batch
+    indexing: video ``v``'s holders are
+    ``flat[offsets[v] : offsets[v] + counts[v]]``.  All arrays are
+    read-only ``int64``.
+    """
+
+    holders: tuple[tuple[int, ...], ...]
+    flat: np.ndarray
+    offsets: np.ndarray
+    counts: np.ndarray
+
+
+def _build_holder_table(rate_matrix: np.ndarray) -> HolderTable:
+    """One ``nonzero`` pass over the layout (row-major, so each video's
+    servers come out ascending)."""
+    num_videos = rate_matrix.shape[0]
+    videos, servers = np.nonzero(rate_matrix > 0)
+    flat = servers.astype(np.int64)
+    counts = np.bincount(videos, minlength=num_videos).astype(np.int64)
+    offsets = np.zeros(num_videos, dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    ids = flat.tolist()
+    holders = tuple(
+        tuple(ids[start:end])
+        for start, end in zip(offsets.tolist(), (offsets + counts).tolist())
+    )
+    for array in (flat, offsets, counts):
+        array.setflags(write=False)
+    return HolderTable(holders, flat, offsets, counts)
 
 
 @dataclass(frozen=True)
@@ -148,6 +187,16 @@ class ReplicaLayout:
         """Indices of the servers holding replicas of *video* (ascending)."""
         check_int_in_range("video", video, 0, self.num_videos - 1)
         return np.flatnonzero(self.rate_matrix[video] > 0)
+
+    @cached_property
+    def holder_table(self) -> HolderTable:
+        """Per-video replica holders, built once per layout (immutable).
+
+        Every simulator, dispatcher and engine over this layout reads the
+        same table, so a sweep that reuses one layout across arrival rates
+        and runs indexes its replicas once.
+        """
+        return _build_holder_table(self.rate_matrix)
 
     def videos_on(self, server: int) -> np.ndarray:
         """Indices of videos with a replica on *server*."""

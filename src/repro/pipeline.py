@@ -245,7 +245,7 @@ class PipelineResult:
                 f"rate={config.arrival_rate_per_min:g}/min "
                 f"({'sa' if config.anneal else config.replicator + '+' + config.placer}"
                 f"{'+refine' if config.refine else ''}, "
-                f"dispatcher={config.dispatcher})"
+                f"dispatcher={config.dispatcher}, engine={config.engine})"
             )
         ]
         if self.replication is not None:

@@ -7,6 +7,7 @@ CLI prints after each experiment::
     run report: 384 trials (372 simulated, 12 cache hits, 3.1% hit rate)
       jobs=4  wall 9.84s  sim-time 31.20s (3.17x concurrency)
       events 1,203,511 simulated  122.3k events/s wall, 38.6k events/s per worker
+      engine vector 384 runs  vector fallbacks 0/3072 servers
 
 Field names follow the canonical result schema (DESIGN.md "Canonical
 result-field schema"): counts are ``num_*``, durations ``*_sec``, rates
@@ -65,6 +66,13 @@ class RunReport:
     phase_seconds:
         Wall time folded in per named phase via :meth:`record_phase`
         (the :func:`repro.observe.timed` profiling hook).
+    engine_paths / handoff_reasons:
+        Simulated runs per event loop that actually executed, and per
+        reason the ``vector`` engine handed a run to another loop (the
+        results' ``engine_path`` / ``handoff_reason``).
+    num_vector_fallbacks / num_vector_servers:
+        Servers that took the ``vector`` engine's exact scalar replay,
+        out of all servers of the runs on the ``vector`` path.
     """
 
     jobs: int = 1
@@ -90,6 +98,10 @@ class RunReport:
     #: Sum of crash-to-repair minutes over all recoveries (for the mean).
     ttr_sum_min: float = 0.0
     phase_seconds: dict = field(default_factory=dict, repr=False)
+    engine_paths: dict = field(default_factory=dict)
+    handoff_reasons: dict = field(default_factory=dict)
+    num_vector_fallbacks: int = 0
+    num_vector_servers: int = 0
     batches: int = field(default=0, repr=False)
 
     # ------------------------------------------------------------------
@@ -108,6 +120,9 @@ class RunReport:
         self.num_streams_dropped = 0
         self.ttr_sum_min = 0.0
         self.phase_seconds = {}
+        self.engine_paths = {}
+        self.handoff_reasons = {}
+        self.num_vector_fallbacks = self.num_vector_servers = 0
 
     def _record_availability(self, result: SimulationResult) -> None:
         if result.num_failures == 0 and result.streams_dropped == 0:
@@ -123,6 +138,17 @@ class RunReport:
             result.mean_time_to_recovery_min * result.num_recoveries
         )
 
+    def _record_engine(self, result: SimulationResult) -> None:
+        for counts, key in (
+            (self.engine_paths, result.engine_path),
+            (self.handoff_reasons, result.handoff_reason),
+        ):
+            if key is not None:
+                counts[key] = counts.get(key, 0) + 1
+        if result.vector_fallbacks is not None:
+            self.num_vector_fallbacks += result.vector_fallbacks
+            self.num_vector_servers += result.num_servers
+
     def record_hit(self, result: SimulationResult) -> None:
         self.num_trials += 1
         self.num_cache_hits += 1
@@ -136,6 +162,7 @@ class RunReport:
         self.num_events += result.num_events
         self.sim_time_sec += result.wall_time_sec
         self._record_availability(result)
+        self._record_engine(result)
 
     def record_batch(self, wall_sec: float) -> None:
         self.batches += 1
@@ -224,6 +251,21 @@ class RunReport:
             f"{_si(self.events_per_sec)} events/s wall, "
             f"{_si(per_worker)} events/s per worker"
         )
+        if self.engine_paths:
+            line = "  engine " + ", ".join(
+                f"{path} {runs}" for path, runs in self.engine_paths.items()
+            ) + " runs"
+            if self.handoff_reasons:
+                line += " (handoff: " + ", ".join(
+                    f"{reason} {runs}"
+                    for reason, runs in self.handoff_reasons.items()
+                ) + ")"
+            if self.num_vector_servers:
+                line += (
+                    f"  vector fallbacks {self.num_vector_fallbacks}/"
+                    f"{self.num_vector_servers} servers"
+                )
+            lines.append(line)
         if self.num_sa_runs:
             lines.append(
                 f"  annealing {self.num_sa_runs} chains  "

@@ -10,8 +10,9 @@ partitioned over any number of processes is bit-identical to the serial
 run, and any single trial can be re-simulated in isolation.
 
 Workers memoize the simulator per configuration (``config_key``), so the
-layout validation and per-video replica indexing are paid once per design
-point per worker rather than once per trial.
+layout validation is paid once per design point per worker rather than
+once per trial; the per-video replica index is cached on the layout
+itself (``ReplicaLayout.holder_table``), so it is built once per layout.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..cluster_sim import (
+    DEFAULT_ENGINE,
     ENGINES,
     VoDClusterSimulator,
     engine_run_kwargs,
@@ -70,7 +72,7 @@ class TrialSpec:
     #: :data:`repro.cluster_sim.ENGINES`); all engines are
     #: ``same_outcome``-identical, so the engine only affects speed (and,
     #: for ``audited``, in-situ invariant checking).
-    engine: str = "optimized"
+    engine: str = DEFAULT_ENGINE
     backbone_mbps: float = 0.0
     horizon_min: float | None = None
     #: Chaos extension: per-run failure schedule recipe (built inside the
@@ -117,7 +119,7 @@ def make_trials(
     rereplication: RereplicationPolicy | None = None,
     failover_on_down: bool = False,
     num_shards: int = 1,
-    engine: str = "optimized",
+    engine: str = DEFAULT_ENGINE,
 ) -> list[TrialSpec]:
     """Build the trial specs of one design point.
 

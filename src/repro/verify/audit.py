@@ -942,6 +942,7 @@ def run_audited(
         ),
         server_downtime_min=np.asarray(downtime),
         wall_time_sec=_time.perf_counter() - start_wall,
+        engine_path="audited",
     )
 
     # Rebuild the admission table from the decision codes and the trace's

@@ -236,6 +236,14 @@ class TestConsolidatedCli:
                 assert flag in text, f"{verb} --help is missing {flag}"
         for engine in ("optimized", "vector", "reference", "audited"):
             assert engine in helps["pipeline"] and engine in helps["serve"]
+        # --engine's choices and default come from the engine registry.
+        from repro.cluster_sim import DEFAULT_ENGINE, ENGINES
+
+        choices = "{" + ",".join(sorted(ENGINES)) + "}"
+        for text in helps.values():
+            flat = " ".join(text.split())
+            assert f"--engine {choices}" in flat
+            assert f"(default: {DEFAULT_ENGINE})" in flat
 
 
 class TestRemovedAliases:

@@ -284,7 +284,9 @@ class TestEngineThreading:
             screen=False,
             anneal_polish=False,
         )
-        plain = ServingControlPlane(ServingConfig(**base)).run()
+        plain = ServingControlPlane(
+            ServingConfig(**base, engine="optimized")
+        ).run()
         vector = ServingControlPlane(
             ServingConfig(**base, engine="vector")
         ).run()
