@@ -18,8 +18,11 @@ fields; they differ only in *how* the event loop executes:
     The readable method-per-event loop (:class:`ReferenceClusterSimulator`)
     retained as the differential-testing oracle.
 ``audited``
-    The optimized loop with the standard in-situ invariant auditors
-    armed; raises on the first violation.
+    The optimized loop with its private audit log armed, plus an
+    independent rebuild of every server's occupancy from that log
+    (:mod:`repro.verify.audit`) checked by the standard invariant
+    auditors; results report ``engine_path="audited"`` and any violation
+    raises.
 
 The registry is the single source of truth for ``engine=`` knobs in
 :class:`repro.pipeline.PipelineConfig`, the serving plane, the fuzzer

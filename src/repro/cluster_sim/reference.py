@@ -376,3 +376,17 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
             wall_time_sec=time.perf_counter() - start_wall,
             engine_path="reference",
         )
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _least_utilized_with_room(
+        servers: list[StreamingServer], rate: float
+    ) -> int | None:
+        """Least-utilized server that can carry one more stream, if any."""
+        best: int | None = None
+        best_util = float("inf")
+        for server in servers:
+            if server.can_admit(rate) and server.utilization < best_util:
+                best = server.server_id
+                best_util = server.utilization
+        return best

@@ -31,7 +31,10 @@ admission accounting are inlined instead of dispatching through
 :class:`StreamingServer` methods.  The clarity-first original lives on as
 :class:`~repro.cluster_sim.reference.ReferenceClusterSimulator`; the two
 are bit-identical field for field (see
-``tests/test_simulator_equivalence.py``).
+``tests/test_simulator_equivalence.py``).  Audited runs use this same
+loop: ``run(auditors=...)`` arms an :class:`AuditLog` that the loop fills
+behind ``if log is not None`` guards, and :mod:`repro.verify.audit`
+checks the run from that log afterwards.
 """
 
 from __future__ import annotations
@@ -67,6 +70,42 @@ _REPLICATE = int(EventKind.REPLICATE)
 _EPS_MBPS = 1e-6
 
 _INF = float("inf")
+
+
+class AuditLog:
+    """What an audited run records in the event loop (internal).
+
+    :mod:`repro.verify.audit` arms it through ``run(auditors=...)`` and
+    rebuilds every occupancy account from it after the run.  Decision
+    codes: 0 = not admitted on arrival (rejected, or left to a failover
+    retry), ``1 + k`` = admitted on server ``k``, ``1 + N + k`` =
+    redirected to server ``k`` over the backbone.
+    """
+
+    __slots__ = (
+        "decisions",
+        "crash_records",
+        "repair_records",
+        "retry_admissions",
+        "last_event_time",
+        "soa",
+        "servers",
+        "backbones",
+    )
+
+    def __init__(self) -> None:
+        #: One code per simulated arrival (bytearray while 2N fits a byte).
+        self.decisions: "bytearray | list[int]" = bytearray()
+        #: (time, server, occupied Mb/s) per crash; (time, server) per repair.
+        self.crash_records: list = []
+        self.repair_records: list = []
+        #: (time, arrival index, server) per failover-retry admission.
+        self.retry_admissions: list = []
+        #: Time of the last event the final horizon drain applied.
+        self.last_event_time = 0.0
+        self.soa: RequestSoA | None = None
+        self.servers: list[StreamingServer] = []
+        self.backbones: list[BackboneLink] | None = None
 
 
 class VoDClusterSimulator:
@@ -220,11 +259,15 @@ class VoDClusterSimulator:
             copy completes.  Ignored without failures.
         auditors:
             Optional list of :class:`repro.verify.InvariantAuditor`
-            checkers.  When non-empty the run is delegated to the audited
-            loop (bit-identical results, in-situ invariant checking) and
-            any violation raises
-            :class:`repro.verify.InvariantViolation`.  ``None``/empty
-            keeps this plain hot loop — auditing off costs nothing.
+            checkers.  When non-empty this same loop also fills a private
+            :class:`AuditLog` (one decision code per arrival, the crash,
+            repair and retry-admission records), from which
+            :mod:`repro.verify.audit` rebuilds occupancy independently
+            after the run; any violation raises
+            :class:`repro.verify.InvariantViolation`.  The result is
+            bit-identical to an unaudited run, with ``engine_path``
+            ``"audited"``.  ``None``/empty leaves the log unarmed: one
+            ``is None`` test per admission and per final-drain event.
         observer:
             Optional :class:`repro.observe.Observer` (duck-typed).  When
             set, per-server load/stream timelines are sampled every
@@ -235,17 +278,18 @@ class VoDClusterSimulator:
             bit-identical to an unobserved run; with ``observer=None`` the
             hot loop's only additions are two constant-false comparisons
             per arrival (see the ``observe`` block of
-            ``BENCH_hotpaths.json``).  Ignored on the audited path.
+            ``BENCH_hotpaths.json``).  Combines freely with ``auditors``.
         """
         if auditors:
             # Lazy import: cluster_sim must stay importable without the
             # verify package (and vice versa).
-            from ..verify.audit import run_audited
+            from ..verify.audit import _run_audited
 
-            result, report = run_audited(
+            result, report = _run_audited(
                 self,
                 trace,
-                auditors=list(auditors),
+                list(auditors),
+                observer,
                 horizon_min=horizon_min,
                 failures=failures,
                 failover_on_down=failover_on_down,
@@ -254,6 +298,23 @@ class VoDClusterSimulator:
             )
             report.raise_if_failed()
             return result
+        return self._simulate(
+            trace, horizon_min, failures, failover_on_down, failover,
+            rereplication, observer, None,
+        )
+
+    def _simulate(
+        self,
+        trace: RequestTrace,
+        horizon_min: float | None,
+        failures: FailureSchedule | None,
+        failover_on_down: bool,
+        failover: FailoverPolicy | None,
+        rereplication: RereplicationPolicy | None,
+        observer,
+        log: "AuditLog | None",
+    ) -> SimulationResult:
+        """The event loop behind :meth:`run`; *log* arms audit recording."""
         start_wall = time.perf_counter()
         if horizon_min is None:
             horizon_min = trace.duration_min if trace.num_requests else 1.0
@@ -354,6 +415,10 @@ class VoDClusterSimulator:
                 k = failure.server
                 num_failures += 1
                 down_since[k] = event[0]
+                if log is not None:
+                    log.crash_records.append(
+                        (event[0], k, servers[k].used_mbps)
+                    )
                 streams_dropped += servers[k].fail(event[0])
                 if backbones is not None and backbone_by_server[k] > 0:
                     backbones[k // servers_per_pod].release(
@@ -383,6 +448,8 @@ class VoDClusterSimulator:
                 k = event[3]
                 tr = event[0]
                 servers[k].recover(tr)
+                if log is not None:
+                    log.repair_records.append((tr, k))
                 num_recoveries += 1
                 delta = tr - down_since.pop(k)
                 downtime[k] += delta
@@ -406,7 +473,7 @@ class VoDClusterSimulator:
                             )
                             seq += 1
             elif kind == _RETRY:
-                video, hold, attempt = event[3]
+                video, hold, attempt, index = event[3]
                 tr = event[0]
                 row = rate_rows[video]
                 saved = False
@@ -433,6 +500,10 @@ class VoDClusterSimulator:
                             )
                             seq += 1
                             num_failovers += 1
+                            if log is not None:
+                                log.retry_admissions.append(
+                                    (tr, index, server_id)
+                                )
                             saved = True
                             break
                 if not saved:
@@ -441,7 +512,8 @@ class VoDClusterSimulator:
                         if nxt <= horizon_min:
                             heappush(
                                 heap,
-                                (nxt, _RETRY, seq, (video, hold, attempt + 1)),
+                                (nxt, _RETRY, seq,
+                                 (video, hold, attempt + 1, index)),
                             )
                             seq += 1
                             num_retries += 1
@@ -467,13 +539,22 @@ class VoDClusterSimulator:
 
         # Struct-of-arrays request columns: video-id validation, hold
         # times and the horizon cut are computed once, vectorized, and
-        # shared verbatim with the reference and audited loops.
+        # shared verbatim with the reference loop.
         soa = RequestSoA.from_trace(trace, self._durations, horizon_min)
         times_list = soa.times_list
         videos_list = soa.videos_list
         hold_list = soa.holds_list
         num_simulated = soa.num_simulated
         num_truncated = soa.num_truncated
+        if log is not None:
+            # Decision codes (see AuditLog): a bytearray store is the
+            # cheapest per-arrival record while 2N fits in one byte.
+            log.decisions = decisions = (
+                bytearray(num_simulated)
+                if 2 * len(servers) <= 255
+                else [0] * num_simulated
+            )
+            redirect_base = 1 + len(servers)
 
         # Hot-loop locals (attribute lookups hoisted out of the loop;
         # rate_rows was bound above — the COW copy under re-replication).
@@ -680,6 +761,8 @@ class VoDClusterSimulator:
                         )
                         seq += 1
                         admitted = True
+                        if log is not None:
+                            decisions[index] = 1 + server_id
                         break
 
             if not admitted and backbones is not None and (
@@ -730,6 +813,8 @@ class VoDClusterSimulator:
                         )
                         seq += 1
                         admitted = True
+                        if log is not None:
+                            decisions[index] = redirect_base + delegate_id
 
             if not admitted:
                 if retry_policy is not None and (
@@ -743,7 +828,8 @@ class VoDClusterSimulator:
                         # resolves, always within the horizon.
                         heappush(
                             heap,
-                            (nxt, _RETRY, seq, (video, hold_list[index], 1)),
+                            (nxt, _RETRY, seq,
+                             (video, hold_list[index], 1, index)),
                         )
                         seq += 1
                         num_retries += 1
@@ -774,6 +860,8 @@ class VoDClusterSimulator:
         while heap and heap[0][0] <= horizon_min:
             event = heappop(heap)
             events_processed += 1
+            if log is not None:
+                log.last_event_time = event[0]
             if event[1] == _DEPARTURE:
                 server_id, rate, redirected, epoch = event[3]
                 server = servers[server_id]
@@ -827,8 +915,12 @@ class VoDClusterSimulator:
             ),
             server_downtime_min=np.asarray(downtime),
             wall_time_sec=time.perf_counter() - start_wall,
-            engine_path="optimized",
+            engine_path="optimized" if log is None else "audited",
         )
+        if log is not None:
+            log.soa = soa
+            log.servers = servers
+            log.backbones = backbones
         if observer is not None:
             observer.record_simulation(
                 samples=samples,
@@ -837,17 +929,3 @@ class VoDClusterSimulator:
                 server_bandwidth_mbps=self._cluster.bandwidth_mbps.tolist(),
             )
         return result
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _least_utilized_with_room(
-        servers: list[StreamingServer], rate: float
-    ) -> int | None:
-        """Least-utilized server that can carry one more stream, if any."""
-        best: int | None = None
-        best_util = _INF
-        for server in servers:
-            if server.can_admit(rate) and server.utilization < best_util:
-                best = server.server_id
-                best_util = server.utilization
-        return best

@@ -55,9 +55,6 @@ class RunReport:
     num_sa_runs / num_sa_steps / sa_time_sec:
         Simulated-annealing chains recorded via :meth:`record_annealing`:
         run count, total Metropolis steps, and summed annealer wall time.
-    num_audited_runs / num_audited_events / num_audit_violations:
-        In-situ invariant audits recorded via :meth:`record_audit`: audited
-        simulator runs, events those runs checked, and total violations.
     num_failures / num_recoveries / num_retries / num_failovers /
     num_lost_to_failure / num_rereplicated / num_streams_dropped:
         Availability accounting summed over every trial result (cache hits
@@ -85,9 +82,6 @@ class RunReport:
     num_sa_runs: int = 0
     num_sa_steps: int = 0
     sa_time_sec: float = 0.0
-    num_audited_runs: int = 0
-    num_audited_events: int = 0
-    num_audit_violations: int = 0
     num_failures: int = 0
     num_recoveries: int = 0
     num_retries: int = 0
@@ -112,8 +106,6 @@ class RunReport:
         self.sim_time_sec = self.wall_time_sec = 0.0
         self.num_sa_runs = self.num_sa_steps = 0
         self.sa_time_sec = 0.0
-        self.num_audited_runs = self.num_audited_events = 0
-        self.num_audit_violations = 0
         self.num_failures = self.num_recoveries = 0
         self.num_retries = self.num_failovers = 0
         self.num_lost_to_failure = self.num_rereplicated = 0
@@ -184,16 +176,6 @@ class RunReport:
         self.num_sa_runs += 1
         self.num_sa_steps += int(result.steps)
         self.sa_time_sec += float(result.wall_time_sec)
-
-    def record_audit(self, report) -> None:
-        """Fold one audited run (anything shaped like an ``AuditReport``).
-
-        Duck-typed for the same reason as :meth:`record_annealing`: the
-        runtime layer never imports :mod:`repro.verify`.
-        """
-        self.num_audited_runs += 1
-        self.num_audited_events += int(report.events_audited)
-        self.num_audit_violations += int(report.num_violations)
 
     # ------------------------------------------------------------------
     @property
@@ -271,16 +253,6 @@ class RunReport:
                 f"  annealing {self.num_sa_runs} chains  "
                 f"{self.num_sa_steps:,} steps  "
                 f"{_si(self.sa_steps_per_sec)} steps/s"
-            )
-        if self.num_audited_runs:
-            status = (
-                "clean"
-                if not self.num_audit_violations
-                else f"{self.num_audit_violations} violations"
-            )
-            lines.append(
-                f"  audit {self.num_audited_runs} runs  "
-                f"{self.num_audited_events:,} events checked  {status}"
             )
         if self.num_failures or self.num_streams_dropped:
             lines.append(

@@ -1,67 +1,48 @@
-"""The audited simulation loop: the optimized DES with shadow accounting.
+"""Audited runs: the optimized event loop plus an independent rebuild.
 
-:func:`run_audited` replays :meth:`VoDClusterSimulator.run`'s exact event
-loop — same event ordering, same arithmetic, bit-identical
-:class:`SimulationResult` — while recording an *independent* shadow
-account from which per-server occupancy trajectories, load integrals,
-backbone occupancy, and the admission/departure/drop conservation tallies
-are reconstructed and checked at the end of the run.
+:func:`run_audited` runs :meth:`VoDClusterSimulator.run`'s own event loop
+with a private :class:`~repro.cluster_sim.simulator.AuditLog` armed — the
+result is that loop's result, bit-identical to an unaudited run — and then
+reconstructs, from the log and the trace's numpy columns alone, every
+server's occupancy trajectory, load integral, backbone occupancy and the
+admission/departure/drop conservation tallies, which the auditors check.
 
 Design notes
 ------------
-* The plain ``run()`` is untouched when auditing is off: enabling is a
-  single ``if auditors:`` dispatch per *run*, so the disabled overhead is
-  zero by construction.
-* When enabled, the per-event instrumentation is one byte per arrival — a
-  decision code (rejected / admitted on server ``k`` / redirected to
-  ``k``) stored into a preallocated buffer — plus one event-time
-  watermark store per heap pop.  Monotonicity itself is audited at the
-  points where a past-dated event can be *introduced* (arrival ordering
-  and hold signs vectorized up front, failure/recovery pushes on the rare
-  path) rather than per pop.  Everything else is
-  *reconstructed* vectorized at end of run: admission times, hold times,
-  and rates come from the trace's existing numpy arrays and the layout's
-  rate matrix, crashes (rare) are replayed over the admission table, and
-  every server's full occupancy trajectory is rebuilt with a single
-  fused sort/scan.  The reconstruction is independent of
-  ``StreamingServer``'s bookkeeping — a strictly stronger check than
-  mirroring the loop's own arithmetic — and is what keeps the enabled
-  overhead within the <10% budget measured by
-  ``benchmarks/bench_hotpaths.py``.
-* Bit-identical results are enforced, not assumed:
-  ``tests/test_verify_auditors.py`` and the fuzzer cross-check the
-  audited loop against both the plain optimized and the reference
-  simulator.
+* There is one event loop.  The log records only what the rebuild cannot
+  derive: one decision code per arrival (rejected / admitted on server
+  ``k`` / redirected to ``k``), ``(time, server, occupied Mb/s)`` per
+  crash, ``(time, server)`` per repair, the failover-retry admissions and
+  the last event time of the final horizon drain.  Unarmed, the loop pays
+  one ``is None`` test per admission and per final-drain event.
+* Monotonicity is audited where a past-dated event could be *introduced*
+  (arrival ordering and hold signs, vectorized over the full trace).
+* Everything else is *reconstructed* vectorized after the run: admission
+  times, hold times and rates come from the trace columns and the
+  layout's rate matrix, crashes (rare) are replayed over the admission
+  table, and every server's peak occupancy comes from one fused
+  sort/scan.  The reconstruction is independent of ``StreamingServer``'s
+  bookkeeping, so a broken ``release`` or ``fail`` in the loop shows up
+  as a disagreement (``tests/test_verify_auditors.py``'s mutation tests),
+  and it is what keeps the enabled overhead within the <10% budget
+  measured by ``benchmarks/bench_hotpaths.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
-from ..cluster_sim.dispatch import Dispatcher, failover_order
-from ..cluster_sim.events import EventKind
 from ..cluster_sim.metrics import SimulationResult
 from ..cluster_sim.redirection import BackboneLink
 from ..cluster_sim.server import StreamingServer
-from ..cluster_sim.soa import RequestSoA
+from ..cluster_sim.simulator import AuditLog
 from .auditors import InvariantAuditor, Violation, standard_auditors
 
 __all__ = ["Trajectory", "AuditReport", "run_audited"]
 
-_DEPARTURE = int(EventKind.DEPARTURE)
-_FAILURE = int(EventKind.FAILURE)
-_RECOVERY = int(EventKind.RECOVERY)
-_RETRY = int(EventKind.RETRY)
-_REPLICATE = int(EventKind.REPLICATE)
 _EPS_MBPS = 1e-6
-_INF = float("inf")
-
-#: Decision codes stored per arrival (bytearray when 2 + 2N fits a byte).
-_REJECTED = 1
-_ADMIT_BASE = 2
 
 
 class Trajectory:
@@ -427,8 +408,23 @@ def run_audited(
     :meth:`AuditReport.raise_if_failed` (as ``run(auditors=...)`` does) to
     escalate.
     """
-    import time as _time
+    return _run_audited(
+        simulator,
+        trace,
+        auditors,
+        None,
+        horizon_min=horizon_min,
+        failures=failures,
+        failover_on_down=failover_on_down,
+        failover=failover,
+        rereplication=rereplication,
+    )
 
+
+def _run_audited(
+    simulator, trace, auditors, observer, **run_kwargs
+) -> tuple[SimulationResult, AuditReport]:
+    """:func:`run_audited` with an optional observer on the same run."""
     if auditors is None:
         auditors = standard_auditors()
     enabled = (
@@ -436,255 +432,20 @@ def run_audited(
         if auditors
         else frozenset()
     )
-    chk_monotonic = "monotonic" in enabled
+    log = AuditLog()
+    result = simulator._simulate(trace, observer=observer, log=log, **run_kwargs)
+    soa = log.soa
+    times = soa.times
+    holds = soa.holds
+    servers = log.servers
+    num_servers = len(servers)
     violations: list[Violation] = []
 
-    start_wall = _time.perf_counter()
-    if horizon_min is None:
-        horizon_min = trace.duration_min if trace.num_requests else 1.0
-    from .._validation import check_positive
-
-    check_positive("horizon_min", horizon_min)
-    horizon_min = float(horizon_min)
-
-    servers = [
-        StreamingServer(
-            k,
-            spec.bandwidth_mbps,
-            max_streams=(
-                simulator._stream_limits[k] if simulator._stream_limits else None
-            ),
-        )
-        for k, spec in enumerate(simulator._cluster)
-    ]
-    num_servers = len(servers)
-    dispatcher: Dispatcher = simulator._dispatcher_factory(simulator._layout)
-    # Redirection pods: one independent BackboneLink per pod (P=1 is the
-    # paper's single shared backbone; see the optimized loop).
-    pods = simulator._redirection_pods
-    if simulator._backbone_mbps > 0:
-        backbones = [
-            BackboneLink(simulator._backbone_mbps) for _ in range(pods)
-        ]
-        videos_per_pod = simulator._videos.num_videos // pods
-        servers_per_pod = len(servers) // pods
-        pod_servers = [
-            servers[p * servers_per_pod : (p + 1) * servers_per_pod]
-            for p in range(pods)
-        ]
-    else:
-        backbones = None
-        servers_per_pod = len(servers)
-    heap: list = []
-    seq = 0
-    backbone_by_server = [0.0] * num_servers
-    streams_dropped = 0
-    events_processed = 0
-
-    #: One record per crash: (time, server, occupied Mb/s at the crash);
-    #: one per repair: (time, server).
-    crash_records: list = []
-    repair_records: list = []
-    #: Retry admissions: (start, end, server, rate, video) side records,
-    #: merged into the reconstruction tables after the loop.
-    retry_admissions: list = []
-    last_event = 0.0
-
-    # Chaos gating mirrors the plain loops exactly.
-    chaos = failures is not None and len(failures) > 0
-    retry_policy = failover if chaos and failover is not None else None
-    rerep = rereplication if chaos and rereplication is not None else None
-    num_failures = num_recoveries = 0
-    num_retries = num_failovers = 0
-    num_lost_to_failure = num_rereplicated = 0
-    down_since: dict[int, float] = {}
-    downtime = [0.0] * num_servers
-    ttr_sum = 0.0
-
-    rate_rows = simulator._rate_rows
-    static_rows = rate_rows
-    if rerep is not None:
-        rate_rows = [row[:] for row in rate_rows]
-        lost_by_server: list[list[int]] = [[] for _ in servers]
-        videos_of_server: list[list[int]] | None = None
-    else:
-        videos_of_server = None
-
-    if failures is not None:
-        failures.validate_servers(num_servers)
-        for failure in failures:
-            # Strict <: a failure at exactly the end of the peak is a
-            # no-op rather than a mutation of post-horizon state.
-            if failure.time_min < horizon_min:
-                heappush(heap, (failure.time_min, _FAILURE, seq, failure))
-                seq += 1
-
-    dispatcher_holders = dispatcher.holders
-
-    def failure_touched(video: int) -> bool:
-        row = rate_rows[video]
-        for s in dispatcher_holders(video):
-            if row[s] <= 0.0 or not servers[s].is_up:
-                return True
-        return False
-
-    def handle_rare(event: tuple, seq: int) -> int:
-        """Apply one failure/recovery/retry/replicate event (audited)."""
-        nonlocal streams_dropped, num_failures, num_recoveries
-        nonlocal num_retries, num_failovers, num_lost_to_failure
-        nonlocal num_rereplicated, videos_of_server, ttr_sum
-        kind = event[1]
-        if kind == _FAILURE:
-            failure = event[3]
-            server_id = failure.server
-            num_failures += 1
-            down_since[server_id] = event[0]
-            crash_records.append(
-                (event[0], server_id, servers[server_id].used_mbps)
-            )
-            streams_dropped += servers[server_id].fail(event[0])
-            if backbones is not None and backbone_by_server[server_id] > 0:
-                backbones[server_id // servers_per_pod].release(
-                    backbone_by_server[server_id]
-                )
-                backbone_by_server[server_id] = 0.0
-            if rerep is not None:
-                if videos_of_server is None:
-                    videos_of_server = [
-                        [
-                            v
-                            for v in range(len(static_rows))
-                            if static_rows[v][s] > 0.0
-                        ]
-                        for s in range(num_servers)
-                    ]
-                lost = lost_by_server[server_id]
-                for v in videos_of_server[server_id]:
-                    if rate_rows[v][server_id] > 0.0:
-                        rate_rows[v][server_id] = 0.0
-                        lost.append(v)
-            recovery = failure.recovery_min
-            if recovery < _INF:
-                if chk_monotonic and recovery < event[0]:
-                    violations.append(
-                        Violation(
-                            "monotonic",
-                            recovery,
-                            f"server {server_id} recovery at "
-                            f"t={recovery:.9f} precedes its failure at "
-                            f"t={event[0]:.9f}",
-                        )
-                    )
-                heappush(heap, (recovery, _RECOVERY, seq, server_id))
-                seq += 1
-        elif kind == _RECOVERY:
-            k = event[3]
-            tr = event[0]
-            servers[k].recover(tr)
-            repair_records.append((tr, k))
-            num_recoveries += 1
-            delta = tr - down_since.pop(k)
-            downtime[k] += delta
-            ttr_sum += delta
-            if rerep is not None and lost_by_server[k]:
-                from ..dynamic.migration import plan_rereplication
-
-                lost = lost_by_server[k]
-                plan = plan_rereplication(
-                    lost,
-                    simulator._durations_list,
-                    {v: static_rows[v][k] for v in lost},
-                    migration_mbps=rerep.migration_mbps,
-                )
-                epoch = servers[k].epoch
-                for v, offset in plan:
-                    done = tr + offset
-                    if done <= horizon_min:
-                        heappush(heap, (done, _REPLICATE, seq, (k, v, epoch)))
-                        seq += 1
-        elif kind == _RETRY:
-            video, hold, attempt, index = event[3]
-            tr = event[0]
-            row = rate_rows[video]
-            saved = False
-            for server_id in failover_order(
-                dispatcher_holders(video), servers
-            ):
-                rate = row[server_id]
-                if rate > 0.0:
-                    server = servers[server_id]
-                    if (
-                        server.is_up
-                        and server.used_mbps + rate
-                        <= server.bandwidth_mbps + _EPS_MBPS
-                        and (
-                            server.max_streams is None
-                            or server.active_streams < server.max_streams
-                        )
-                    ):
-                        server.admit(tr, rate)
-                        heappush(
-                            heap,
-                            (tr + hold, _DEPARTURE, seq,
-                             (server_id, rate, False, server.epoch)),
-                        )
-                        seq += 1
-                        num_failovers += 1
-                        retry_admissions.append(
-                            (tr, tr + hold, server_id, rate, video)
-                        )
-                        saved = True
-                        break
-            if not saved:
-                if attempt < retry_policy.max_retries:
-                    nxt = tr + retry_policy.delay_min(attempt)
-                    if nxt <= horizon_min:
-                        heappush(
-                            heap,
-                            (nxt, _RETRY, seq,
-                             (video, hold, attempt + 1, index)),
-                        )
-                        seq += 1
-                        num_retries += 1
-                        return seq
-                per_video_rejected[video] += 1
-                decisions[index] = _REJECTED
-                if failure_touched(video):
-                    num_lost_to_failure += 1
-        else:  # _REPLICATE
-            k, v, epoch = event[3]
-            if servers[k].epoch == epoch:
-                rate_rows[v][k] = static_rows[v][k]
-                lost_by_server[k].remove(v)
-                num_rereplicated += 1
-        return seq
-
-    num_videos = simulator._videos.num_videos
-    per_video_requests = [0] * num_videos
-    per_video_rejected = [0] * num_videos
-
-    # Shared struct-of-arrays request columns — the same preparation the
-    # optimized loop runs, so the audited loop cannot drift on validation,
-    # hold times or the horizon cut.  The full (untruncated) numpy columns
-    # feed the monotonicity probes and the end-of-run reconstruction.
-    soa = RequestSoA.from_trace(trace, simulator._durations, horizon_min)
-    times = soa.times
-    videos = soa.videos
-    holds = soa.holds
-    hold_list = soa.holds_list
-    times_list = soa.times_list
-    videos_list = soa.videos_list
-    num_arrivals = soa.num_requests
-    num_simulated = soa.num_simulated
-
     # Event-time monotonicity, checked where violations can actually be
-    # *introduced* rather than per heap pop: the loop schedules a departure
-    # at ``t + hold``, so a past-dated event requires an out-of-order
-    # arrival or a negative hold (both vectorized, one pass each); the rare
-    # failure/recovery pushes are probed in ``handle_rare``.  This covers
-    # strictly more than a pop-time probe (which never saw the arrival
-    # stream itself) at a per-event cost of one watermark store.
-    if chk_monotonic and num_arrivals:
+    # *introduced*: the loop schedules a departure at ``t + hold``, so a
+    # past-dated event requires an out-of-order arrival or a negative hold
+    # (both vectorized, one pass each over the full trace columns).
+    if "monotonic" in enabled and soa.num_requests:
         if bool((times[1:] < times[:-1]).any()):
             where = int(np.argmax(times[1:] < times[:-1]))
             violations.append(
@@ -707,293 +468,40 @@ def run_audited(
                 )
             )
 
-    # Per-arrival decision codes: 0 = not simulated (truncated), 1 =
-    # rejected, 2+k = admitted on server k, 2+N+k = redirected to k.  A
-    # bytearray store is the cheapest possible per-event instrumentation;
-    # big clusters (codes past one byte) fall back to a plain list.
-    if _ADMIT_BASE + 2 * num_servers <= 255:
-        decisions: "bytearray | list" = bytearray(num_arrivals)
-    else:  # pragma: no cover - clusters this large are not exercised
-        decisions = [0] * num_arrivals
-    redirect_base = _ADMIT_BASE + num_servers
-
-    # rate_rows was bound above (the COW copy under re-replication).
-    best_rates = simulator._best_rates_list
-    candidates_of = dispatcher.candidates
-    eps = _EPS_MBPS
-    rejected_code = _REJECTED
-    admit_base = _ADMIT_BASE
-
-    # Horizon pre-truncation happened in the SoA cut; the loop runs the
-    # simulated prefix only (mirrors the optimized loop exactly).
-    num_truncated = soa.num_truncated
-    for index in range(num_simulated):
-        t = times_list[index]
-        video = videos_list[index]
-
-        while heap and heap[0][0] <= t:
-            event = heappop(heap)
-            events_processed += 1
-            etime = last_event = event[0]
-            if event[1] == _DEPARTURE:
-                server_id, rate, redirected, epoch = event[3]
-                server = servers[server_id]
-                if server.epoch != epoch:
-                    continue  # stream already dropped by a crash
-                last = server._last_time_min
-                if etime > last:
-                    server._load_integral += server.used_mbps * (etime - last)
-                    server._last_time_min = etime
-                used = server.used_mbps - rate
-                if used < 0.0:
-                    if used < -eps:
-                        raise RuntimeError(
-                            f"server {server_id} bandwidth accounting "
-                            "went negative"
-                        )
-                    used = 0.0
-                server.used_mbps = used
-                server.active_streams -= 1
-                if redirected:
-                    backbones[server_id // servers_per_pod].release(rate)
-                    backbone_by_server[server_id] -= rate
-            else:
-                seq = handle_rare(event, seq)
-
-        events_processed += 1
-        per_video_requests[video] += 1
-        if best_rates[video] <= 0.0:
-            per_video_rejected[video] += 1
-            decisions[index] = rejected_code
-            continue
-        end_time = t + hold_list[index]
-
-        if failover_on_down:
-            candidates = list(candidates_of(video, servers))
-            if any(not servers[s].is_up for s in candidates):
-                extra = [
-                    s
-                    for s in dispatcher.holders(video)
-                    if s not in candidates
-                ]
-                extra.sort(key=lambda s: servers[s].utilization)
-                candidates.extend(extra)
-        else:
-            candidates = candidates_of(video, servers)
-
-        admitted = False
-        row = rate_rows[video]
-        for server_id in candidates:
-            rate = row[server_id]
-            if rate > 0.0:
-                server = servers[server_id]
-                if (
-                    server.is_up
-                    and server.used_mbps + rate
-                    <= server.bandwidth_mbps + eps
-                    and (
-                        server.max_streams is None
-                        or server.active_streams < server.max_streams
-                    )
-                ):
-                    last = server._last_time_min
-                    if t > last:
-                        server._load_integral += server.used_mbps * (t - last)
-                        server._last_time_min = t
-                    used = server.used_mbps + rate
-                    server.used_mbps = used
-                    server.active_streams += 1
-                    server.served_requests += 1
-                    if used > server.peak_load_mbps:
-                        server.peak_load_mbps = used
-                    heappush(
-                        heap,
-                        (end_time, _DEPARTURE, seq,
-                         (server_id, rate, False, server.epoch)),
-                    )
-                    seq += 1
-                    admitted = True
-                    decisions[index] = admit_base + server_id
-                    break
-
-        if not admitted and backbones is not None and (
-            rerep is None or any(row[s] > 0.0 for s in dispatcher_holders(video))
-        ):
-            rate = best_rates[video]
-            pod = video // videos_per_pod
-            backbone = backbones[pod]
-            if backbone.used_mbps + rate <= backbone.capacity_mbps + eps:
-                delegate = None
-                best_util = _INF
-                for server in pod_servers[pod]:
-                    if (
-                        server.is_up
-                        and server.used_mbps + rate
-                        <= server.bandwidth_mbps + eps
-                        and (
-                            server.max_streams is None
-                            or server.active_streams < server.max_streams
-                        )
-                    ):
-                        util = server.used_mbps / server.bandwidth_mbps
-                        if util < best_util:
-                            delegate = server
-                            best_util = util
-                if delegate is not None:
-                    delegate_id = delegate.server_id
-                    backbone.acquire(rate)
-                    backbone_by_server[delegate_id] += rate
-                    last = delegate._last_time_min
-                    if t > last:
-                        delegate._load_integral += delegate.used_mbps * (t - last)
-                        delegate._last_time_min = t
-                    used = delegate.used_mbps + rate
-                    delegate.used_mbps = used
-                    delegate.active_streams += 1
-                    delegate.served_requests += 1
-                    if used > delegate.peak_load_mbps:
-                        delegate.peak_load_mbps = used
-                    heappush(
-                        heap,
-                        (end_time, _DEPARTURE, seq,
-                         (delegate_id, rate, True, delegate.epoch)),
-                    )
-                    seq += 1
-                    admitted = True
-                    decisions[index] = redirect_base + delegate_id
-
-        if not admitted:
-            if retry_policy is not None and (
-                retry_policy.retry_saturated or failure_touched(video)
-            ):
-                nxt = t + retry_policy.delay_min(0)
-                if nxt <= horizon_min:
-                    # Pending failover retry: the decision code stays 0
-                    # until the RETRY event resolves (side record on
-                    # admit, rejected code on budget exhaustion).
-                    heappush(
-                        heap,
-                        (nxt, _RETRY, seq,
-                         (video, hold_list[index], 1, index)),
-                    )
-                    seq += 1
-                    num_retries += 1
-                else:
-                    per_video_rejected[video] += 1
-                    decisions[index] = rejected_code
-                    if failure_touched(video):
-                        num_lost_to_failure += 1
-            else:
-                per_video_rejected[video] += 1
-                decisions[index] = rejected_code
-                if chaos and failure_touched(video):
-                    num_lost_to_failure += 1
-
-    # Apply remaining events inside the horizon, close the integrals.
-    while heap and heap[0][0] <= horizon_min:
-        event = heappop(heap)
-        events_processed += 1
-        etime = last_event = event[0]
-        if event[1] == _DEPARTURE:
-            server_id, rate, redirected, epoch = event[3]
-            server = servers[server_id]
-            if server.epoch != epoch:
-                continue
-            server.release(etime, rate)
-            if redirected:
-                backbones[server_id // servers_per_pod].release(rate)
-                backbone_by_server[server_id] -= rate
-        else:
-            seq = handle_rare(event, seq)
-    for server in servers:
-        server.advance(horizon_min)
-    # Servers still down at the horizon accrue downtime to its edge.
-    for k, since in down_since.items():
-        downtime[k] += horizon_min - since
-
-    result = SimulationResult(
-        num_requests=sum(per_video_requests),
-        num_rejected=sum(per_video_rejected),
-        per_video_requests=np.asarray(per_video_requests, dtype=np.int64),
-        per_video_rejected=np.asarray(per_video_rejected, dtype=np.int64),
-        server_time_avg_load_mbps=np.array(
-            [s.time_avg_load_mbps(horizon_min) for s in servers]
-        ),
-        server_peak_load_mbps=np.array([s.peak_load_mbps for s in servers]),
-        server_served=np.array([s.served_requests for s in servers]),
-        server_bandwidth_mbps=simulator._cluster.bandwidth_mbps,
-        horizon_min=horizon_min,
-        num_redirected=(
-            sum(b.redirected_streams for b in backbones)
-            if backbones is not None
-            else 0
-        ),
-        streams_dropped=streams_dropped,
-        num_truncated=num_truncated,
-        num_events=events_processed,
-        num_failures=num_failures,
-        num_recoveries=num_recoveries,
-        num_retries=num_retries,
-        num_failovers=num_failovers,
-        num_lost_to_failure=num_lost_to_failure,
-        num_rereplicated=num_rereplicated,
-        mean_time_to_recovery_min=(
-            ttr_sum / num_recoveries if num_recoveries else 0.0
-        ),
-        server_downtime_min=np.asarray(downtime),
-        wall_time_sec=_time.perf_counter() - start_wall,
-        engine_path="audited",
-    )
-
     # Rebuild the admission table from the decision codes and the trace's
     # own arrays (no per-element Python conversion).
-    simulated = num_arrivals - num_truncated
-    if isinstance(decisions, bytearray):
+    simulated = soa.num_simulated
+    if isinstance(log.decisions, bytearray):
         # uint8 keeps the downstream grouping argsort on the radix path.
-        dec = np.frombuffer(decisions, dtype=np.uint8)[:simulated]
-    else:  # pragma: no cover - big-cluster fallback
-        dec = np.asarray(decisions[:simulated], dtype=np.int16)
-    adm = np.flatnonzero(dec >= _ADMIT_BASE)
+        dec = np.frombuffer(log.decisions, dtype=np.uint8)
+    else:  # pragma: no cover - clusters this large are not exercised
+        dec = np.asarray(log.decisions, dtype=np.int16)
+    adm = np.flatnonzero(dec)
     codes = dec.take(adm)
-    codes -= codes.dtype.type(_ADMIT_BASE)
+    codes -= codes.dtype.type(1)
     red = codes >= num_servers
     sid = np.where(red, codes - codes.dtype.type(num_servers), codes)
-    vid = videos.take(adm)
+    vid = soa.videos.take(adm)
     t0 = times.take(adm)
     te = t0 + holds.take(adm)
-    # Per-admission delivered rates in one gather: column k of the cached
-    # table is the layout rate on server k, column N + k the best-copy
-    # rate a redirected stream carries over the backbone.  The table only
-    # depends on the simulator's immutable layout, so it is built once.
-    rate_table = getattr(simulator, "_audit_rate_table", None)
-    if rate_table is None:
-        rate_table = np.concatenate(
-            (
-                simulator._rate_matrix,
-                np.broadcast_to(
-                    simulator._best_rates[:, None],
-                    simulator._rate_matrix.shape,
-                ),
-            ),
-            axis=1,
-        )
-        simulator._audit_rate_table = rate_table
-    rate = rate_table[vid, codes]
+    # Delivered rates gathered from the layout, not the loop: a stream
+    # plays its server's replica rate, a redirected one the best copy.
+    rate_matrix = simulator._rate_matrix
+    rate = np.where(red, simulator._best_rates[vid], rate_matrix[vid, sid])
 
-    if retry_admissions:
+    if log.retry_admissions:
         # Fold failover-retry admissions into the reconstruction tables.
         # The tables must stay start-time sorted for the grouped
         # prefix-sum peak reconstruction; a stable merge sort restores
         # that after concatenation (retry starts interleave arrivals).
-        r_t0 = np.array([r[0] for r in retry_admissions])
-        r_te = np.array([r[1] for r in retry_admissions])
-        r_sid = np.array([r[2] for r in retry_admissions], dtype=np.int64)
-        r_rate = np.array([r[3] for r in retry_admissions])
-        r_vid = np.array([r[4] for r in retry_admissions], dtype=vid.dtype)
+        r_t0 = np.array([r[0] for r in log.retry_admissions])
+        r_idx = np.array([r[1] for r in log.retry_admissions], dtype=np.intp)
+        r_sid = np.array([r[2] for r in log.retry_admissions], dtype=np.int64)
+        r_vid = soa.videos[r_idx]
         t0 = np.concatenate((t0, r_t0))
-        te = np.concatenate((te, r_te))
+        te = np.concatenate((te, r_t0 + holds[r_idx]))
         sid = np.concatenate((sid.astype(np.int64), r_sid))
-        rate = np.concatenate((rate, r_rate))
+        rate = np.concatenate((rate, rate_matrix[r_vid, r_sid]))
         red = np.concatenate((red, np.zeros(len(r_t0), dtype=bool)))
         vid = np.concatenate((vid, r_vid))
         order = np.argsort(t0, kind="stable")
@@ -1004,20 +512,20 @@ def run_audited(
         red = red[order]
         vid = vid[order]
 
-    audit = Trajectory(num_servers, horizon_min)
+    audit = Trajectory(num_servers, result.horizon_min)
     audit.arrivals_total = trace.num_requests
-    # Every simulated arrival stores exactly one decision code — or, for
-    # requests saved by a failover retry, one side record — so the
-    # rejected tally is the complement of the admissions.
+    # Every simulated arrival ends admitted (on arrival or by a failover
+    # retry) or rejected, so the rejected tally is the complement of the
+    # admissions.
     audit.rejected = simulated - int(len(t0))
-    audit.rate_matrix = simulator._rate_matrix
-    audit.crash_records = crash_records
-    audit.repair_records = repair_records
+    audit.rate_matrix = rate_matrix
+    audit.crash_records = log.crash_records
+    audit.repair_records = log.repair_records
     audit.admission_times = t0
     audit.admission_servers = sid
     audit.backbone_capacity_mbps = simulator._backbone_mbps
-    audit.last_event_time = last_event
-    audit.events_audited = events_processed
+    audit.last_event_time = log.last_event_time
+    audit.events_audited = result.num_events
     _reconstruct(
         audit,
         violations,
@@ -1027,10 +535,10 @@ def run_audited(
         rate,
         red,
         vid,
-        crash_records,
+        log.crash_records,
         servers,
-        backbones,
-        servers_per_pod,
+        log.backbones,
+        num_servers // simulator._redirection_pods,
         enabled,
     )
 
@@ -1039,7 +547,7 @@ def run_audited(
 
     report = AuditReport(
         violations=tuple(violations),
-        events_audited=events_processed,
+        events_audited=result.num_events,
         checks=tuple(sorted(enabled)),
         auditor_names=tuple(a.name for a in auditors),
         admitted=audit.admitted,

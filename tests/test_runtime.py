@@ -234,53 +234,6 @@ class TestRunReport:
         assert report.num_sa_runs == 0 and report.sa_steps_per_sec == 0.0
         assert "annealing" not in report.format()
 
-    def test_record_audit_counters(self):
-        class FakeAudit:
-            events_audited = 7000
-            num_violations = 0
-
-        report = RunReport()
-        report.record_audit(FakeAudit())
-        report.record_audit(FakeAudit())
-        assert report.num_audited_runs == 2 and report.num_audited_events == 14000
-        assert report.num_audit_violations == 0
-        assert "audit 2 runs" in report.format()
-        assert "clean" in report.format()
-
-    def test_record_audit_violations_shown(self):
-        class DirtyAudit:
-            events_audited = 10
-            num_violations = 3
-
-        report = RunReport()
-        report.record_audit(DirtyAudit())
-        assert "3 violations" in report.format()
-        report.reset()
-        assert report.num_audited_runs == 0
-        assert "audit" not in report.format()
-
-    def test_record_audit_accepts_real_report(self, small_setup):
-        from repro.verify import standard_auditors
-        from repro.verify.audit import run_audited
-
-        setup = small_setup
-        layout = build_layout(setup, PAPER_COMBOS[0], 0.75, 1.2)
-        simulator = VoDClusterSimulator(
-            setup.cluster(1.2), setup.videos(), layout
-        )
-        generator = WorkloadGenerator.poisson_zipf(setup.popularity(0.75), 10.0)
-        trace = generator.generate(
-            setup.peak_minutes, np.random.default_rng(5)
-        )
-        _, audit_report = run_audited(
-            simulator, trace, auditors=standard_auditors()
-        )
-        report = RunReport()
-        report.record_audit(audit_report)
-        assert audit_report.events_audited > 0
-        assert report.num_audited_events == audit_report.events_audited
-        assert report.num_audit_violations == 0
-
 
 class TestActiveRunner:
     def test_default_runner_is_serial_uncached(self):

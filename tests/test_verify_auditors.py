@@ -23,6 +23,7 @@ from repro.cluster_sim import (
 from repro.cluster_sim.metrics import SimulationResult
 from repro.cluster_sim.server import StreamingServer
 from repro.model.layout import ReplicaLayout
+from repro.observe import Observer, ObserverConfig
 from repro.verify import (
     BandwidthCapAuditor,
     EventMonotonicityAuditor,
@@ -154,6 +155,55 @@ class TestAuditedRunEquivalence:
         assert len(report.auditor_names) == 5
         assert report.num_violations == 0
         report.raise_if_failed()  # a clean report must not raise
+
+
+class RecordingObserver(Observer):
+    """An observer that also keeps the raw per-run samples and events."""
+
+    def record_simulation(self, *, samples, traced_events, **kwargs):
+        self.samples = samples
+        self.traced_events = traced_events
+        super().record_simulation(
+            samples=samples, traced_events=traced_events, **kwargs
+        )
+
+
+class TestAuditedRunObserved:
+    """Auditing and observation ride on the same event loop."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(
+                failures=True,
+                failover_on_down=True,
+                redirection=True,
+                bandwidth_mbps=200.0,
+            ),
+        ],
+    )
+    def test_observer_sees_the_audited_run(self, overrides):
+        optimized, _, trace, run_kwargs = build_des(des_params(**overrides))
+        config = ObserverConfig(
+            sample_interval_min=2.5, trace_events=True, trace_event_every=3
+        )
+        watched = RecordingObserver(config)
+        audited_watched = RecordingObserver(config)
+        plain = optimized.run(trace, observer=watched, **run_kwargs)
+        audited = optimized.run(
+            trace,
+            auditors=standard_auditors(),
+            observer=audited_watched,
+            **run_kwargs,
+        )
+        assert plain.same_outcome(audited)
+        assert audited.engine_path == "audited"
+        assert plain.engine_path == "optimized"
+        assert watched.samples, "the scenario must produce samples"
+        assert audited_watched.samples == watched.samples
+        assert audited_watched.traced_events == watched.traced_events
+        assert len(audited_watched.tracer) == len(watched.tracer) > 0
 
 
 def one_video_sim(replicas, num_servers=2):
