@@ -8,11 +8,18 @@ window* share a single multicast stream, trading startup latency for
 bandwidth.
 
 Model: the first request for video ``v`` opens a batch and schedules it to
-fire ``window_min`` later; requests for ``v`` arriving before the fire join
-it for free.  At fire time one stream is dispatched for the whole batch
-(same dispatch/admission rules as unicast); if no server can carry it, the
-entire batch is rejected.  ``window_min = 0`` degenerates to the paper's
-unicast model (batches of size one fire instantly).
+fire ``window_min`` later; requests for ``v`` arriving at or before the
+fire join it for free.  At fire time one stream is dispatched for the whole
+batch (same dispatch/admission rules as unicast); if no server can carry
+it, the entire batch is rejected.  Batches still open at the horizon fire
+there (their viewers arrived inside it).  ``window_min = 0`` degenerates to
+the paper's unicast model (batches of size one fire instantly).
+
+How it runs: batch membership depends only on arrival times, so batches
+are formed up front and each becomes one full-duration stream request at
+its fire time, run through the unicast kernel (:class:`VoDClusterSimulator`).
+The kernel's per-arrival decision codes give each batch's verdict, which
+is weighted by the batch's viewers.
 
 Metrics extend :class:`SimulationResult` with the number of multicast
 streams started, the mean startup wait and the *batching factor*
@@ -21,7 +28,7 @@ streams started, the mean startup wait and the *batching factor*
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +37,9 @@ from ..model.cluster import ClusterSpec
 from ..model.layout import ReplicaLayout
 from ..model.video import VideoCollection
 from ..workload.requests import RequestTrace
-from .dispatch import Dispatcher, StaticRoundRobinDispatcher
-from .events import EventKind, EventQueue
+from .dispatch import StaticRoundRobinDispatcher
 from .metrics import SimulationResult
-from .server import StreamingServer
+from .simulator import AuditLog, VoDClusterSimulator
 
 __all__ = ["BatchingResult", "BatchingClusterSimulator"]
 
@@ -84,21 +90,16 @@ class BatchingClusterSimulator:
         dispatcher_factory=StaticRoundRobinDispatcher,
         validate_layout: bool = True,
     ) -> None:
-        if layout.num_videos != videos.num_videos:
-            raise ValueError("layout and videos disagree on M")
-        if layout.num_servers != cluster.num_servers:
-            raise ValueError("layout and cluster disagree on N")
         check_non_negative("window_min", window_min)
-        if validate_layout:
-            layout.validate(cluster, videos, allow_mixed_rates=True)
-        self._cluster = cluster
-        self._videos = videos
-        self._layout = layout
+        self._kernel = VoDClusterSimulator(
+            cluster,
+            videos,
+            layout,
+            dispatcher_factory=dispatcher_factory,
+            validate_layout=validate_layout,
+        )
         self._window = float(window_min)
-        self._dispatcher_factory = dispatcher_factory
-        self._rate_matrix = layout.rate_matrix
-        self._best_rates = layout.video_bit_rates
-        self._durations = videos.durations_min
+        self._unserved = layout.video_bit_rates <= 0.0
 
     # ------------------------------------------------------------------
     def run(
@@ -112,115 +113,67 @@ class BatchingClusterSimulator:
             horizon_min = trace.duration_min if trace.num_requests else 1.0
         check_positive("horizon_min", horizon_min)
 
-        servers = [
-            StreamingServer(k, spec.bandwidth_mbps)
-            for k, spec in enumerate(self._cluster)
-        ]
-        dispatcher: Dispatcher = self._dispatcher_factory(self._layout)
-        events = EventQueue()
+        times = trace.arrival_min
+        videos = trace.videos
+        if times.size and int(videos.max()) >= self._unserved.size:
+            raise ValueError("trace references a video outside the collection")
+        cut = int(np.searchsorted(times, horizon_min, side="right"))
 
-        num_videos = self._videos.num_videos
-        per_video_requests = np.zeros(num_videos, dtype=np.int64)
-        per_video_rejected = np.zeros(num_videos, dtype=np.int64)
-        open_batches: dict[int, list[float]] = {}
+        per_video_requests = np.bincount(
+            videos[:cut], minlength=self._unserved.size
+        ).astype(np.int64)
+        # A video with no replica anywhere rejects every request up front.
+        per_video_rejected = np.where(self._unserved, per_video_requests, 0)
+        # Batches in opening order: fire time, video, member arrival times.
+        fires: list[float] = []
+        batch_videos: list[int] = []
+        members: list[list[float]] = []
+        open_batch: dict[int, int] = {}
+        unserved = self._unserved.tolist()
+        for t, video in zip(times[:cut].tolist(), videos[:cut].tolist()):
+            if unserved[video]:
+                continue
+            batch = open_batch.get(video)
+            if batch is not None and t <= fires[batch]:
+                members[batch].append(t)
+            else:
+                open_batch[video] = len(fires)
+                fires.append(t + self._window)
+                batch_videos.append(video)
+                members.append([t])
+
+        # One full-duration stream request per batch at its fire time,
+        # clamped to the horizon.  Batches open in arrival order, so their
+        # fire times are already non-decreasing, ties in opening order.
+        fire_at = np.minimum(np.asarray(fires, dtype=np.float64), horizon_min)
+        log = AuditLog()
+        kernel = self._kernel._simulate(
+            RequestTrace(fire_at, batch_videos), horizon_min,
+            None, False, None, None, None, log,
+        )
+
         streams_started = 0
         viewers_served = 0
         total_wait = 0.0
-
-        times = trace.arrival_min
-        videos = trace.videos
-        if times.size and int(videos.max()) >= num_videos:
-            raise ValueError("trace references a video outside the collection")
-
-        def fire_batch(time: float, video: int) -> None:
-            nonlocal streams_started, viewers_served, total_wait
-            batch = open_batches.pop(video)
-            admitted = False
-            for server_id in dispatcher.candidates(video, servers):
-                rate = float(self._rate_matrix[video, server_id])
-                if rate > 0.0 and servers[server_id].can_admit(rate):
-                    servers[server_id].admit(time, rate)
-                    events.push(
-                        time + float(self._durations[video]),
-                        EventKind.DEPARTURE,
-                        (server_id, rate),
-                    )
-                    admitted = True
-                    break
-            if admitted:
+        for decision, fire, video, viewers in zip(
+            log.decisions, fire_at.tolist(), batch_videos, members
+        ):
+            if decision:
                 streams_started += 1
-                viewers_served += len(batch)
-                total_wait += sum(time - arrival for arrival in batch)
+                viewers_served += len(viewers)
+                total_wait += sum(fire - arrival for arrival in viewers)
             else:
-                per_video_rejected[video] += len(batch)
+                per_video_rejected[video] += len(viewers)
 
-        def handle(event) -> None:
-            if event.kind is EventKind.DEPARTURE:
-                server_id, rate = event.payload
-                servers[server_id].release(event.time, rate)
-            elif event.kind is EventKind.BATCH_FIRE:
-                fire_batch(event.time, event.payload)
-
-        def drain(until: float, *, hold_batches_at_until: bool = False) -> None:
-            """Handle queued events up to *until*.
-
-            ``hold_batches_at_until`` keeps batch firings scheduled exactly
-            at *until* in the queue, so a request arriving at that instant
-            still joins its batch (the EventKind.BATCH_FIRE-after-ARRIVAL
-            ordering, applied across the arrival iterator).
-            """
-            while events:
-                head = events.peek()
-                if head.time > until:
-                    break
-                if (
-                    hold_batches_at_until
-                    and head.time == until
-                    and head.kind is EventKind.BATCH_FIRE
-                ):
-                    break
-                handle(events.pop())
-
-        for t, video in zip(times, videos):
-            t = float(t)
-            if t > horizon_min:
-                break
-            video = int(video)
-            drain(t, hold_batches_at_until=True)
-            per_video_requests[video] += 1
-            if self._best_rates[video] <= 0.0:
-                per_video_rejected[video] += 1
-                continue
-            if video in open_batches:
-                open_batches[video].append(t)
-            else:
-                open_batches[video] = [t]
-                events.push(t + self._window, EventKind.BATCH_FIRE, video)
-
-        # Close the measurement window, then fire batches still open: their
-        # viewers arrived inside the horizon and deserve an admission
-        # verdict (taken at the horizon; the remaining wait is curtailed).
-        drain(horizon_min)
-        while events:
-            event = events.pop()
-            if event.kind is EventKind.BATCH_FIRE:
-                fire_batch(horizon_min, event.payload)
-            # departures past the horizon are outside the measurement
-        for server in servers:
-            server.advance(horizon_min)
-
-        base = SimulationResult(
+        base = replace(
+            kernel,
             num_requests=int(per_video_requests.sum()),
             num_rejected=int(per_video_rejected.sum()),
             per_video_requests=per_video_requests,
             per_video_rejected=per_video_rejected,
-            server_time_avg_load_mbps=np.array(
-                [s.time_avg_load_mbps(horizon_min) for s in servers]
-            ),
-            server_peak_load_mbps=np.array([s.peak_load_mbps for s in servers]),
-            server_served=np.array([s.served_requests for s in servers]),
-            server_bandwidth_mbps=self._cluster.bandwidth_mbps,
-            horizon_min=float(horizon_min),
+            num_truncated=int(times.size) - cut,
+            # The kernel's decision log is bookkeeping, not an audit.
+            engine_path="optimized",
         )
         mean_wait = total_wait / viewers_served if viewers_served else 0.0
         return BatchingResult(

@@ -42,9 +42,6 @@ class EventKind(enum.IntEnum):
     RECOVERY = 1
     FAILURE = 2
     ARRIVAL = 3
-    #: Batched-multicast start; after ARRIVAL so a request arriving at the
-    #: same instant still joins the batch.
-    BATCH_FIRE = 4
     #: Wait-queue patience expiry; after DEPARTURE so a slot freed at the
     #: deadline still saves the request.
     DEFECTION = 5

@@ -26,21 +26,40 @@ server, per DESIGN.md's substitution rules):
 The simulator mirrors :class:`VoDClusterSimulator`'s interface (trace in,
 :class:`SimulationResult` out) so the two architectures drop into the same
 experiment harness.
+
+How it runs: the striped cluster is one pooled server of ``N * B`` holding
+every video at its inflated drain rate, simulated by the unicast kernel
+(:class:`VoDClusterSimulator`).  Member outages starting inside the horizon
+map onto that server; outages that strictly overlap merge into one, while
+outages that merely touch stay separate (the kernel processes RECOVERY
+before FAILURE at one instant, as the members do).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import NamedTuple
+
 import numpy as np
 
 from .._validation import check_non_negative, check_positive
-from ..model.cluster import ClusterSpec
+from ..model.cluster import ClusterSpec, ServerSpec
+from ..model.layout import ReplicaLayout
 from ..model.video import VideoCollection
 from ..workload.requests import RequestTrace
-from .events import EventKind, EventQueue
 from .failures import FailureSchedule
 from .metrics import SimulationResult
+from .simulator import VoDClusterSimulator
 
 __all__ = ["StripedClusterSimulator"]
+
+
+class _PooledOutage(NamedTuple):
+    """Merged member outages; keeps the last repair instant verbatim."""
+
+    time_min: float
+    server: int
+    recovery_min: float
 
 
 class StripedClusterSimulator:
@@ -74,13 +93,19 @@ class StripedClusterSimulator:
                 f"{total_storage:.1f} GB"
             )
         self._cluster = cluster
-        self._videos = videos
         self._num_servers = cluster.num_servers
         self._overhead = float(overhead_per_server)
         self._inflation = 1.0 + self._overhead * (self._num_servers - 1)
         self._pool_mbps = spec.bandwidth_mbps * self._num_servers
-        self._rates = videos.bit_rates_mbps
-        self._durations = videos.durations_min
+        # The shared pool was checked above, so the kernel skips layout checks.
+        self._kernel = VoDClusterSimulator(
+            ClusterSpec([ServerSpec(total_storage, self._pool_mbps)]),
+            videos,
+            ReplicaLayout(
+                rate_matrix=(videos.bit_rates_mbps * self._inflation)[:, None]
+            ),
+            validate_layout=False,
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -111,139 +136,49 @@ class StripedClusterSimulator:
             horizon_min = trace.duration_min if trace.num_requests else 1.0
         check_positive("horizon_min", horizon_min)
 
-        num_videos = self._videos.num_videos
-        per_video_requests = np.zeros(num_videos, dtype=np.int64)
-        per_video_rejected = np.zeros(num_videos, dtype=np.int64)
-
-        times = trace.arrival_min
-        videos = trace.videos
-        if times.size and int(videos.max()) >= num_videos:
-            raise ValueError("trace references a video outside the collection")
-        if trace.watch_min is not None:
-            hold_min = np.minimum(trace.watch_min, self._durations[videos])
-        else:
-            hold_min = self._durations[videos]
-
-        events = EventQueue()
-        members_down = 0
-        epoch = 0
-        used_mbps = 0.0  # inflated pooled usage
-        active_streams = 0
-        streams_dropped = 0
-        served = 0
-        peak_mbps = 0.0
-        last_time = 0.0
-        load_integral = 0.0
-
-        num_failures = 0
-        num_recoveries = 0
-        outage_since = 0.0
-        outage_total = 0.0
-
         if failures is not None:
             failures.validate_servers(self._num_servers)
-            for failure in failures:
-                # Strict <: a failure at exactly the end of the peak is a
-                # no-op (same horizon-edge rule as VoDClusterSimulator).
-                if failure.time_min < horizon_min:
-                    events.push(failure.time_min, EventKind.FAILURE, failure)
+        # Strict <: a failure at exactly the horizon is a no-op, as in the
+        # kernel; later repairs are outside the measurement.
+        members = [f for f in failures or () if f.time_min < horizon_min]
+        repairs = [f.down_min for f in members if f.recovery_min <= horizon_min]
+        spans: list[list[float]] = []
+        for f in members:  # schedules are sorted by failure time
+            if spans and f.time_min < spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], f.recovery_min)
+            else:
+                spans.append([f.time_min, f.recovery_min])
+        pooled = FailureSchedule(_PooledOutage(t, 0, end) for t, end in spans)
 
-        def advance(time: float) -> None:
-            nonlocal last_time, load_integral
-            load_integral += used_mbps * max(time - last_time, 0.0)
-            last_time = time
-
-        def handle(event) -> None:
-            nonlocal members_down, epoch, used_mbps, active_streams, streams_dropped
-            nonlocal num_failures, num_recoveries, outage_since, outage_total
-            if event.kind is EventKind.DEPARTURE:
-                drain, stream_epoch = event.payload
-                if stream_epoch != epoch:
-                    return  # stream was interrupted by an outage
-                advance(event.time)
-                used_mbps -= drain
-                active_streams -= 1
-            elif event.kind is EventKind.FAILURE:
-                failure = event.payload
-                advance(event.time)
-                # Any member down interrupts everything.
-                streams_dropped += active_streams
-                active_streams = 0
-                used_mbps = 0.0
-                epoch += 1
-                if members_down == 0:
-                    outage_since = event.time
-                members_down += 1
-                num_failures += 1
-                if np.isfinite(failure.recovery_min):
-                    events.push(failure.recovery_min, EventKind.RECOVERY, None)
-            elif event.kind is EventKind.RECOVERY:
-                advance(event.time)
-                members_down -= 1
-                num_recoveries += 1
-                if members_down == 0:
-                    outage_total += event.time - outage_since
-
-        def drain_until(until: float) -> None:
-            while events and events.peek().time <= until:
-                handle(events.pop())
-
-        for index, (t, video) in enumerate(zip(times, videos)):
-            t = float(t)
-            if t > horizon_min:
-                break
-            video = int(video)
-            drain_until(t)
-            per_video_requests[video] += 1
-            drain = float(self._rates[video]) * self._inflation
-            if members_down > 0 or used_mbps + drain > self._pool_mbps + 1e-6:
-                per_video_rejected[video] += 1
-                continue
-            advance(t)
-            used_mbps += drain
-            active_streams += 1
-            served += 1
-            peak_mbps = max(peak_mbps, used_mbps)
-            events.push(
-                t + float(hold_min[index]), EventKind.DEPARTURE, (drain, epoch)
-            )
-
-        drain_until(horizon_min)
-        advance(horizon_min)
-        if members_down > 0:
-            outage_total += horizon_min - outage_since
+        run = self._kernel.run(trace, horizon_min=horizon_min, failures=pooled)
 
         # Striping spreads load perfectly: report equal per-server shares
-        # of the *useful* (un-inflated) traffic.
-        avg_useful = load_integral / horizon_min / self._inflation
-        per_server_avg = np.full(self._num_servers, avg_useful / self._num_servers)
-        per_server_peak = np.full(
-            self._num_servers, peak_mbps / self._inflation / self._num_servers
-        )
-        return SimulationResult(
-            num_requests=int(per_video_requests.sum()),
-            num_rejected=int(per_video_rejected.sum()),
-            per_video_requests=per_video_requests,
-            per_video_rejected=per_video_rejected,
-            server_time_avg_load_mbps=per_server_avg,
-            server_peak_load_mbps=per_server_peak,
-            server_served=self._spread_served(served),
+        # of the *useful* (un-inflated) traffic, and the served streams
+        # attributed evenly across stripe members.
+        num_servers = self._num_servers
+        avg_useful = run.server_time_avg_load_mbps[0] / self._inflation
+        peak_useful = run.server_peak_load_mbps[0] / self._inflation
+        served, extra = divmod(int(run.server_served[0]), num_servers)
+        server_served = np.full(num_servers, served, dtype=np.int64)
+        server_served[:extra] += 1
+        return replace(
+            run,
+            server_time_avg_load_mbps=np.full(num_servers, avg_useful / num_servers),
+            server_peak_load_mbps=np.full(num_servers, peak_useful / num_servers),
+            server_served=server_served,
             server_bandwidth_mbps=self._cluster.bandwidth_mbps,
-            horizon_min=float(horizon_min),
-            streams_dropped=streams_dropped,
-            num_failures=num_failures,
-            num_recoveries=num_recoveries,
+            num_failures=len(members),
+            num_recoveries=len(repairs),
+            mean_time_to_recovery_min=(
+                sum(repairs) / len(repairs) if repairs else 0.0
+            ),
+            # Striping reports an outage's cost as dropped streams; its
+            # rejections are not attributed to the failure.
+            num_lost_to_failure=0,
             # Wide striping couples every server to every outage: the
             # whole cluster is down whenever any member is.
-            server_downtime_min=np.full(self._num_servers, outage_total),
+            server_downtime_min=np.full(num_servers, run.server_downtime_min[0]),
         )
-
-    def _spread_served(self, served: int) -> np.ndarray:
-        """Attribute served streams evenly across stripe members."""
-        base, extra = divmod(served, self._num_servers)
-        counts = np.full(self._num_servers, base, dtype=np.int64)
-        counts[:extra] += 1
-        return counts
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

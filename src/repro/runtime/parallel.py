@@ -186,11 +186,12 @@ class ParallelRunner:
     ) -> list:
         """Run ``simulator.run(trace, **run_kwargs)`` for every trace.
 
-        The generic escape hatch for extension simulators (queueing,
-        batching, striping, …) whose results are not plain
-        :class:`SimulationResult` objects — and the fan-out path of
-        sharded runs (:func:`repro.cluster_sim.sharding.run_sharded`):
-        parallel, deterministic, but uncached.  ``per_trace_kwargs``,
+        The generic path for simulators outside the trial cache — the
+        extension models (striping; batching and queueing, whose results
+        wrap a :class:`SimulationResult` as ``base``, which the run report
+        records) and the fan-out of sharded runs
+        (:func:`repro.cluster_sim.sharding.run_sharded`): parallel,
+        deterministic, but uncached.  ``per_trace_kwargs``,
         when given, supplies one extra kwargs dict per trace (``None``
         entries allowed) merged over ``run_kwargs`` — sharded chaos runs
         use it to hand each shard its own failure schedule.  The
@@ -216,8 +217,9 @@ class ParallelRunner:
         with timed(self.report, "simulate"):
             results = self._execute(_run_simulation, tasks)
         for result in results:
-            if isinstance(result, SimulationResult):
-                self.report.record_simulated(result)
+            base = getattr(result, "base", result)
+            if isinstance(base, SimulationResult):
+                self.report.record_simulated(base)
             else:
                 self.report.num_trials += 1
                 self.report.num_simulated += 1

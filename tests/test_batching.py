@@ -149,3 +149,76 @@ class TestCapacityMultiplier:
         layout = ReplicaLayout.from_assignment([[0], [0]], 1)
         with pytest.raises(ValueError):
             BatchingClusterSimulator(cluster, videos, layout, window_min=-1.0)
+
+
+PIN_HORIZON = 30.0
+
+
+def pinned_trace(window):
+    """Seeded 0.5-min-grid trace over videos 0-2 plus hand-placed video 3.
+
+    Video 3 opens a batch at 3.0, gets a viewer exactly at its fire
+    instant (``3.0 + window``; it joins), and opens a batch at 29.75 that
+    is still open at the horizon for every window > 0.25.  Seven seeded
+    arrivals fall past the horizon.
+    """
+    rng = np.random.default_rng(20021)
+    times = rng.integers(0, 70, 60) * 0.5
+    videos = rng.integers(0, 3, 60)
+    times = np.concatenate([times, [3.0, 3.0 + window, PIN_HORIZON - 0.25]])
+    videos = np.concatenate([videos, [3, 3, 3]])
+    order = np.argsort(times, kind="stable")
+    return RequestTrace(times[order], videos[order])
+
+
+#: window -> (num_requests, num_rejected, per_video_rejected,
+#: streams_started, viewers_served, mean_wait_min, time-avg loads, peak
+#: loads, served), computed by the batching simulator's original
+#: dedicated event loop; the kernel-based run must reproduce them exactly.
+BATCHING_PINS = {
+    0.0: (56, 36, [10, 11, 12, 3], 18, 20, 0.0,
+          [9.533333333333333, 10.733333333333333], [12.0, 12.0], [9, 9]),
+    1.0: (56, 25, [8, 10, 6, 1], 18, 31, 0.7258064516129032,
+          [9.4, 10.133333333333333], [12.0, 12.0], [9, 9]),
+    2.0: (56, 17, [6, 5, 5, 1], 18, 39, 1.3205128205128205,
+          [8.866666666666667, 9.4], [12.0, 12.0], [9, 9]),
+    5.0: (56, 0, [0, 0, 0, 0], 15, 56, 2.6651785714285716,
+          [6.533333333333333, 7.333333333333333], [12.0, 12.0], [7, 8]),
+}
+
+
+def pinned_simulator(window):
+    cluster = ClusterSpec.homogeneous(2, storage_gb=100.0, bandwidth_mbps=12.0)
+    videos = VideoCollection.homogeneous(4, duration_min=10.0)
+    layout = ReplicaLayout.from_assignment([[0], [1], [0, 1], [1]], 2)
+    return BatchingClusterSimulator(cluster, videos, layout, window_min=window)
+
+
+class TestPinnedParity:
+    @pytest.mark.parametrize("window", sorted(BATCHING_PINS))
+    def test_fields_match_pins(self, window):
+        result = pinned_simulator(window).run(
+            pinned_trace(window), horizon_min=PIN_HORIZON
+        )
+        base = result.base
+        (requests, rejected, per_video, streams, viewers, wait, loads,
+         peaks, served) = BATCHING_PINS[window]
+        assert base.num_requests == requests
+        assert base.num_rejected == rejected
+        assert base.per_video_rejected.tolist() == per_video
+        assert result.streams_started == streams
+        assert result.viewers_served == viewers
+        assert result.mean_wait_min == wait
+        assert base.server_time_avg_load_mbps.tolist() == loads
+        assert base.server_peak_load_mbps.tolist() == peaks
+        assert base.server_served.tolist() == served
+
+    @pytest.mark.parametrize("window", [0.0, 2.0])
+    def test_arrivals_past_horizon_are_counted(self, window):
+        trace = pinned_trace(window)
+        result = pinned_simulator(window).run(trace, horizon_min=PIN_HORIZON)
+        base = result.base
+        assert base.num_truncated == 7
+        assert base.num_requests + base.num_truncated == trace.num_requests
+        assert base.num_events > 0
+        assert base.wall_time_sec > 0.0

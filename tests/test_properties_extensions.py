@@ -10,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ClusterSpec, VideoCollection
 from repro.analysis.erlang import erlang_b
-from repro.cluster_sim import BatchingClusterSimulator, QueueingClusterSimulator
+from repro.cluster_sim import (
+    BatchingClusterSimulator,
+    QueueingClusterSimulator,
+    VoDClusterSimulator,
+)
 from repro.dynamic import plan_migration
 from repro.model.layout import ReplicaLayout
 from repro.placement import (
@@ -152,6 +156,45 @@ class TestBatchingProperties:
             return sim.run(trace, horizon_min=90.0).streams_started
 
         assert streams(5.0) <= streams(0.5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(traces(), st.integers(8, 24))
+    def test_window_zero_is_unicast(self, trace, bandwidth):
+        """Without same-instant repeats of a video, window 0 is unicast."""
+        pairs = sorted(set(zip(trace.arrival_min.tolist(), trace.videos.tolist())))
+        unique = RequestTrace(
+            np.array([t for t, _ in pairs], dtype=float),
+            np.array([v for _, v in pairs], dtype=np.int64),
+        )
+        cluster = ClusterSpec.homogeneous(
+            2, storage_gb=100.0, bandwidth_mbps=float(bandwidth)
+        )
+        videos = VideoCollection.homogeneous(6, duration_min=15.0)
+        layout = ReplicaLayout.from_assignment(
+            [[0], [1], [0, 1], [0], [1], [0, 1]], 2
+        )
+        batched = BatchingClusterSimulator(
+            cluster, videos, layout, window_min=0.0
+        ).run(unique, horizon_min=90.0)
+        unicast = VoDClusterSimulator(cluster, videos, layout).run(
+            unique, horizon_min=90.0
+        )
+        base = batched.base
+        assert base.num_rejected == unicast.num_rejected
+        np.testing.assert_array_equal(
+            base.per_video_requests, unicast.per_video_requests
+        )
+        np.testing.assert_array_equal(
+            base.per_video_rejected, unicast.per_video_rejected
+        )
+        np.testing.assert_array_equal(
+            base.server_time_avg_load_mbps, unicast.server_time_avg_load_mbps
+        )
+        np.testing.assert_array_equal(
+            base.server_peak_load_mbps, unicast.server_peak_load_mbps
+        )
+        np.testing.assert_array_equal(base.server_served, unicast.server_served)
+        assert batched.streams_started == unicast.num_requests - unicast.num_rejected
 
 
 class TestQueueingProperties:

@@ -109,6 +109,79 @@ class TestFailures:
         assert result.num_rejected == 0
 
 
+def outage_trace():
+    return RequestTrace(
+        np.array([0.0, 1.0, 2.0, 6.0, 12.0, 22.0, 25.0, 32.0, 35.0]),
+        np.array([0, 1, 2, 3, 0, 1, 2, 3, 0]),
+    )
+
+
+class TestMemberOutages:
+    """Member outages on the pooled cluster, pinned to the original loop."""
+
+    def test_overlapping_outages_merge(self):
+        # [5, 20) on member 0 overlaps [10, 30) on member 1: one outage
+        # from 5 to 30 for the whole striped cluster.
+        result = make_striped().run(
+            outage_trace(),
+            horizon_min=40.0,
+            failures=FailureSchedule(
+                [FailureEvent(5.0, 0, 15.0), FailureEvent(10.0, 1, 20.0)]
+            ),
+        )
+        assert result.streams_dropped == 3
+        assert result.num_failures == result.num_recoveries == 2
+        assert result.server_downtime_min.tolist() == [25.0] * 4
+        assert result.num_rejected == 4
+        assert result.per_video_rejected.tolist() == [1, 1, 1, 1]
+        assert result.server_served.tolist() == [2, 1, 1, 1]
+        assert result.server_time_avg_load_mbps.tolist() == [0.625] * 4
+
+    def test_touching_outages_stay_separate(self):
+        # [5, 10) then [10, 20): the repair at 10 is processed before the
+        # second crash at 10, so the arrival at 12 still finds it down.
+        result = make_striped().run(
+            outage_trace(),
+            horizon_min=40.0,
+            failures=FailureSchedule(
+                [FailureEvent(5.0, 0, 5.0), FailureEvent(10.0, 1, 10.0)]
+            ),
+        )
+        assert result.streams_dropped == 3
+        assert result.num_failures == result.num_recoveries == 2
+        assert result.server_downtime_min.tolist() == [15.0] * 4
+        assert result.num_rejected == 2
+        assert result.per_video_rejected.tolist() == [1, 0, 0, 1]
+        assert result.server_served.tolist() == [2, 2, 2, 1]
+        assert result.server_time_avg_load_mbps.tolist() == [1.45] * 4
+
+    def test_mean_time_to_recovery_over_member_repairs(self):
+        # Member repairs of 15 and 20 minutes inside the horizon; the
+        # repair of the outage at 30 lands past it and does not count.
+        result = make_striped().run(
+            outage_trace(),
+            horizon_min=40.0,
+            failures=FailureSchedule(
+                [
+                    FailureEvent(5.0, 0, 15.0),
+                    FailureEvent(10.0, 1, 20.0),
+                    FailureEvent(30.0, 2, 30.0),
+                ]
+            ),
+        )
+        assert result.num_failures == 3
+        assert result.num_recoveries == 2
+        assert result.mean_time_to_recovery_min == pytest.approx(17.5)
+
+    def test_arrivals_past_horizon_are_counted(self):
+        trace = outage_trace()
+        result = make_striped().run(trace, horizon_min=20.0)
+        assert result.num_truncated == 4
+        assert result.num_requests + result.num_truncated == trace.num_requests
+        assert result.num_events > 0
+        assert result.wall_time_sec > 0.0
+
+
 class TestArchitectureComparison:
     """The Sec. 1 argument, measured."""
 
