@@ -19,11 +19,11 @@ Extensions layered on the same event machinery:
 * a vectorized event-batch engine over the SoA columns (:mod:`.vector`)
   behind the lockstep engine registry (:mod:`.engines`);
 * the wide-striping shared-storage architecture the paper argues against
-  (:mod:`.striping`) and multicast batching delivery (:mod:`.batching`),
-  both run on the same kernel: striping as one pooled server, batching as
-  one stream request per batch at its fire time;
-* wait-queue admission with bounded patience (:mod:`.queueing`), the one
-  model that still keeps its own event loop.
+  (:mod:`.striping`), multicast batching delivery (:mod:`.batching`) and
+  wait-queue admission with bounded patience (:mod:`.queueing`), all run
+  on the same kernel: striping as one pooled server, batching as one
+  stream request per batch at its fire time, the wait queue through the
+  kernel's private wait list.
 """
 
 from .batching import BatchingClusterSimulator, BatchingResult

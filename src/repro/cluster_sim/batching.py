@@ -148,8 +148,7 @@ class BatchingClusterSimulator:
         fire_at = np.minimum(np.asarray(fires, dtype=np.float64), horizon_min)
         log = AuditLog()
         kernel = self._kernel._simulate(
-            RequestTrace(fire_at, batch_videos), horizon_min,
-            None, False, None, None, None, log,
+            RequestTrace(fire_at, batch_videos), horizon_min=horizon_min, log=log
         )
 
         streams_started = 0

@@ -42,8 +42,8 @@ class EventKind(enum.IntEnum):
     RECOVERY = 1
     FAILURE = 2
     ARRIVAL = 3
-    #: Wait-queue patience expiry; after DEPARTURE so a slot freed at the
-    #: deadline still saves the request.
+    #: Wait-queue patience expiry (the kernel's wait list); after
+    #: DEPARTURE so a slot freed at the deadline still saves the request.
     DEFECTION = 5
     #: Failover retry of a rejected request (chaos extension); after every
     #: state-changing kind so the retry sees the instant's settled state.

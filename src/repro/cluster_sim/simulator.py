@@ -34,7 +34,9 @@ are bit-identical field for field (see
 ``tests/test_simulator_equivalence.py``).  Audited runs use this same
 loop: ``run(auditors=...)`` arms an :class:`AuditLog` that the loop fills
 behind ``if log is not None`` guards, and :mod:`repro.verify.audit`
-checks the run from that log afterwards.
+checks the run from that log afterwards.  Wait-queue admission
+(:mod:`.queueing`) arms a private :class:`WaitList` the same way; unarmed,
+its only cost is one ``if waiting`` test per applied departure.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ _DEPARTURE = int(EventKind.DEPARTURE)
 _FAILURE = int(EventKind.FAILURE)
 _RECOVERY = int(EventKind.RECOVERY)
 _RETRY = int(EventKind.RETRY)
+_DEFECTION = int(EventKind.DEFECTION)
 _REPLICATE = int(EventKind.REPLICATE)
 
 #: Admission slack (Mb/s); mirrors ``server._EPS_MBPS``.
@@ -106,6 +109,17 @@ class AuditLog:
         self.soa: RequestSoA | None = None
         self.servers: list[StreamingServer] = []
         self.backbones: list[BackboneLink] | None = None
+
+
+class WaitList:
+    """Wait-queue admission state, armed by :mod:`.queueing` (internal)."""
+
+    __slots__ = ("patience_min", "num_queued", "waits")
+
+    def __init__(self, patience_min: float) -> None:
+        self.patience_min = patience_min
+        self.num_queued = 0  # arrivals that joined the queue
+        self.waits: list[float] = []  # start delay of each served waiter
 
 
 class VoDClusterSimulator:
@@ -299,22 +313,25 @@ class VoDClusterSimulator:
             report.raise_if_failed()
             return result
         return self._simulate(
-            trace, horizon_min, failures, failover_on_down, failover,
-            rereplication, observer, None,
+            trace, horizon_min=horizon_min, failures=failures,
+            failover_on_down=failover_on_down, failover=failover,
+            rereplication=rereplication, observer=observer,
         )
 
     def _simulate(
         self,
         trace: RequestTrace,
-        horizon_min: float | None,
-        failures: FailureSchedule | None,
-        failover_on_down: bool,
-        failover: FailoverPolicy | None,
-        rereplication: RereplicationPolicy | None,
-        observer,
-        log: "AuditLog | None",
+        *,
+        horizon_min: float | None = None,
+        failures: FailureSchedule | None = None,
+        failover_on_down: bool = False,
+        failover: FailoverPolicy | None = None,
+        rereplication: RereplicationPolicy | None = None,
+        observer=None,
+        log: "AuditLog | None" = None,
+        wait_list: "WaitList | None" = None,
     ) -> SimulationResult:
-        """The event loop behind :meth:`run`; *log* arms audit recording."""
+        """The event loop behind :meth:`run`; *log* and *wait_list* arm hooks."""
         start_wall = time.perf_counter()
         if horizon_min is None:
             horizon_min = trace.duration_min if trace.num_requests else 1.0
@@ -404,9 +421,39 @@ class VoDClusterSimulator:
                     return True
             return False
 
-        def handle_rare(event: tuple, seq: int) -> int:
-            """Apply one failure/recovery/retry/re-replication event."""
-            nonlocal streams_dropped, num_failures, num_recoveries
+        def admit_on_holder(video: int, now: float, hold: float) -> int | None:
+            """Start *video* on its least-utilized holder with room; its id."""
+            nonlocal seq
+            row = rate_rows[video]
+            for server_id in failover_order(dispatcher_holders(video), servers):
+                rate = row[server_id]
+                server = servers[server_id]
+                if rate > 0.0 and server.can_admit(rate):
+                    server.admit(now, rate)
+                    heappush(
+                        heap,
+                        (now + hold, _DEPARTURE, seq,
+                         (server_id, rate, False, server.epoch)),
+                    )
+                    seq += 1
+                    return server_id
+            return None
+
+        # Wait queue (armed by a WaitList only): arrival index -> (video,
+        # arrival time, hold), oldest first.  Empty when unarmed, so every
+        # departure pays one falsy ``if waiting`` test.
+        waiting: dict[int, tuple[int, float, float]] = {}
+
+        def serve_waiters(now: float) -> None:
+            """Start waiters, oldest first, on holders with room at *now*."""
+            for index, (video, arrival, hold) in list(waiting.items()):
+                if admit_on_holder(video, now, hold) is not None:
+                    del waiting[index]
+                    wait_list.waits.append(now - arrival)
+
+        def handle_rare(event: tuple) -> None:
+            """Apply one failure/recovery/retry/defection/re-copy event."""
+            nonlocal seq, streams_dropped, num_failures, num_recoveries
             nonlocal num_retries, num_failovers, num_lost_to_failure
             nonlocal num_rereplicated, videos_of_server, ttr_sum
             kind = event[1]
@@ -475,54 +522,33 @@ class VoDClusterSimulator:
             elif kind == _RETRY:
                 video, hold, attempt, index = event[3]
                 tr = event[0]
-                row = rate_rows[video]
-                saved = False
-                for server_id in failover_order(
-                    dispatcher_holders(video), servers
-                ):
-                    rate = row[server_id]
-                    if rate > 0.0:
-                        server = servers[server_id]
-                        if (
-                            server.is_up
-                            and server.used_mbps + rate
-                            <= server.bandwidth_mbps + _EPS_MBPS
-                            and (
-                                server.max_streams is None
-                                or server.active_streams < server.max_streams
-                            )
-                        ):
-                            server.admit(tr, rate)
-                            heappush(
-                                heap,
-                                (tr + hold, _DEPARTURE, seq,
-                                 (server_id, rate, False, server.epoch)),
-                            )
-                            seq += 1
-                            num_failovers += 1
-                            if log is not None:
-                                log.retry_admissions.append(
-                                    (tr, index, server_id)
-                                )
-                            saved = True
-                            break
-                if not saved:
-                    if attempt < retry_policy.max_retries:
-                        nxt = tr + retry_policy.delay_min(attempt)
-                        if nxt <= horizon_min:
-                            heappush(
-                                heap,
-                                (nxt, _RETRY, seq,
-                                 (video, hold, attempt + 1, index)),
-                            )
-                            seq += 1
-                            num_retries += 1
-                            return seq
-                    # Retry budget (or horizon) exhausted: a timeout is a
-                    # rejection.
-                    per_video_rejected[video] += 1
-                    if failure_touched(video):
-                        num_lost_to_failure += 1
+                server_id = admit_on_holder(video, tr, hold)
+                if server_id is not None:
+                    num_failovers += 1
+                    if log is not None:
+                        log.retry_admissions.append((tr, index, server_id))
+                    return
+                if attempt < retry_policy.max_retries:
+                    nxt = tr + retry_policy.delay_min(attempt)
+                    if nxt <= horizon_min:
+                        heappush(
+                            heap,
+                            (nxt, _RETRY, seq,
+                             (video, hold, attempt + 1, index)),
+                        )
+                        seq += 1
+                        num_retries += 1
+                        return
+                # Retry budget (or horizon) exhausted: a timeout is a
+                # rejection.
+                per_video_rejected[video] += 1
+                if failure_touched(video):
+                    num_lost_to_failure += 1
+            elif kind == _DEFECTION:
+                # Patience ran out; the waiter may already have started.
+                entry = waiting.pop(event[3], None)
+                if entry is not None:
+                    per_video_rejected[entry[0]] += 1
             else:  # _REPLICATE
                 k, v, epoch = event[3]
                 if servers[k].epoch == epoch:
@@ -531,7 +557,6 @@ class VoDClusterSimulator:
                     num_rereplicated += 1
                 # else: the server crashed again mid-copy; the replica
                 # stays lost and will be re-planned at the next repair.
-            return seq
 
         num_videos = self._videos.num_videos
         per_video_requests = [0] * num_videos
@@ -590,7 +615,7 @@ class VoDClusterSimulator:
                 so a method-call release would dominate the metrics-on
                 overhead budget.
                 """
-                nonlocal seq, events_processed, trace_dep_down
+                nonlocal events_processed, trace_dep_down
                 while heap and heap[0][0] <= limit:
                     event = heappop(heap)
                     events_processed += 1
@@ -621,13 +646,15 @@ class VoDClusterSimulator:
                                 dep_rate
                             )
                             backbone_by_server[dep_server] -= dep_rate
+                        if waiting:
+                            serve_waiters(etime)
                         if trace_every:
                             trace_dep_down -= 1
                             if not trace_dep_down:
                                 trace_dep_down = trace_every
                                 traced.append(("departure", etime, dep_server))
                     else:
-                        seq = handle_rare(event, seq)
+                        handle_rare(event)
 
             def _record_sample(at: float, arrivals_done: int) -> None:
                 samples.append(
@@ -689,13 +716,15 @@ class VoDClusterSimulator:
                     if redirected:
                         backbones[server_id // servers_per_pod].release(rate)
                         backbone_by_server[server_id] -= rate
+                    if waiting:
+                        serve_waiters(etime)
                     if trace_every:
                         trace_dep_down -= 1
                         if not trace_dep_down:
                             trace_dep_down = trace_every
                             traced.append(("departure", etime, server_id))
                 else:
-                    seq = handle_rare(event, seq)
+                    handle_rare(event)
 
             events_processed += 1
             per_video_requests[video] += 1
@@ -837,6 +866,16 @@ class VoDClusterSimulator:
                         per_video_rejected[video] += 1
                         if failure_touched(video):
                             num_lost_to_failure += 1
+                elif wait_list is not None:
+                    # Wait for a departure; DEFECTION sorts after DEPARTURE,
+                    # so a slot freed at the deadline still starts it.
+                    waiting[index] = (video, t, hold_list[index])
+                    wait_list.num_queued += 1
+                    heappush(
+                        heap,
+                        (t + wait_list.patience_min, _DEFECTION, seq, index),
+                    )
+                    seq += 1
                 else:
                     per_video_rejected[video] += 1
                     if chaos and failure_touched(video):
@@ -871,13 +910,18 @@ class VoDClusterSimulator:
                 if redirected:
                     backbones[server_id // servers_per_pod].release(rate)
                     backbone_by_server[server_id] -= rate
+                if waiting:
+                    serve_waiters(event[0])
                 if trace_every:
                     trace_dep_down -= 1
                     if not trace_dep_down:
                         trace_dep_down = trace_every
                         traced.append(("departure", event[0], server_id))
             else:
-                seq = handle_rare(event, seq)
+                handle_rare(event)
+        # Requests still waiting at the horizon count as defected.
+        for video, _arrival, _hold in waiting.values():
+            per_video_rejected[video] += 1
         for server in servers:
             server.advance(horizon_min)
         # Servers still down at the horizon accrue downtime to its edge.

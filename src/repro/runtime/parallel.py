@@ -187,9 +187,10 @@ class ParallelRunner:
         """Run ``simulator.run(trace, **run_kwargs)`` for every trace.
 
         The generic path for simulators outside the trial cache — the
-        extension models (striping; batching and queueing, whose results
-        wrap a :class:`SimulationResult` as ``base``, which the run report
-        records) and the fan-out of sharded runs
+        extension models (striping, batching and wait-queue admission; the
+        run report records the kernel's :class:`SimulationResult`, which
+        batching and wait-queue results wrap as ``base``) and the fan-out
+        of sharded runs
         (:func:`repro.cluster_sim.sharding.run_sharded`): parallel,
         deterministic, but uncached.  ``per_trace_kwargs``,
         when given, supplies one extra kwargs dict per trace (``None``

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro import ClusterSpec, VideoCollection, ZipfPopularity
-from repro.cluster_sim import QueueingClusterSimulator, VoDClusterSimulator
+from repro.cluster_sim import (
+    QueueingClusterSimulator,
+    VoDClusterSimulator,
+    make_dispatcher_factory,
+)
 from repro.model.layout import ReplicaLayout
 from repro.placement import (
     placement_imbalance,
@@ -79,7 +83,21 @@ class TestQueueingSimulator:
         queued = QueueingClusterSimulator(
             cluster, videos, layout, patience_min=0.0
         ).run(trace, horizon_min=60.0)
-        assert queued.base.num_rejected == plain.num_rejected
+        base = queued.base
+        assert base.num_rejected == plain.num_rejected
+        np.testing.assert_array_equal(
+            base.per_video_requests, plain.per_video_requests
+        )
+        np.testing.assert_array_equal(
+            base.per_video_rejected, plain.per_video_rejected
+        )
+        np.testing.assert_array_equal(
+            base.server_time_avg_load_mbps, plain.server_time_avg_load_mbps
+        )
+        np.testing.assert_array_equal(
+            base.server_peak_load_mbps, plain.server_peak_load_mbps
+        )
+        np.testing.assert_array_equal(base.server_served, plain.server_served)
 
     def test_patience_reduces_rejection(self, rng):
         pop = ZipfPopularity(20, 0.75)
@@ -118,6 +136,133 @@ class TestQueueingSimulator:
         result = sim.run(trace, horizon_min=90.0)
         served = result.base.num_served
         assert served + result.num_defected == result.base.num_requests
+
+
+PIN_HORIZON = 30.0
+
+
+def pinned_trace():
+    """Seeded 0.5-min-grid trace over videos 0-3 plus hand-placed video 4.
+
+    Video 4 lives only on server 2 at 4 Mb/s: three requests at 0.0 fill
+    that server until 10.0, where its three streams end at the same
+    instant, and two requests at 9.0 and 9.5 wait for them.  Six seeded
+    arrivals fall past the horizon.
+    """
+    rng = np.random.default_rng(20026)
+    times = rng.integers(0, 70, 70) * 0.5
+    videos = rng.integers(0, 4, 70)
+    times = np.concatenate([[0.0, 0.0, 0.0, 9.0, 9.5], times])
+    videos = np.concatenate([[4, 4, 4, 4, 4], videos])
+    order = np.argsort(times, kind="stable")
+    return RequestTrace(times[order], videos[order])
+
+
+def pinned_simulator(patience, dispatcher):
+    """Three 12 Mb/s servers holding replicas at mixed 1.5/3/4 Mb/s rates."""
+    cluster = ClusterSpec.homogeneous(3, storage_gb=100.0, bandwidth_mbps=12.0)
+    videos = VideoCollection.homogeneous(5, duration_min=10.0)
+    layout = ReplicaLayout(
+        rate_matrix=np.array(
+            [
+                [3.0, 4.0, 0.0],
+                [0.0, 1.5, 0.0],
+                [4.0, 0.0, 1.5],
+                [1.5, 3.0, 0.0],
+                [0.0, 0.0, 4.0],
+            ]
+        )
+    )
+    return QueueingClusterSimulator(
+        cluster,
+        videos,
+        layout,
+        patience_min=patience,
+        dispatcher_factory=make_dispatcher_factory(dispatcher),
+    )
+
+
+#: (dispatcher, patience) -> (num_requests, num_rejected,
+#: per_video_rejected, num_queued, num_queued_served, mean_wait_min,
+#: max_wait_min, time-avg loads, peak loads, served), computed by the
+#: wait-queue simulator's original dedicated event loop; the kernel-based
+#: run must reproduce them exactly.
+QUEUEING_PINS = {
+    ("static_rr", 0.0): (
+        69, 33, [6, 6, 6, 13, 2], 0, 0, 0.0, 0.0,
+        [8.516666666666667, 9.808333333333334, 6.35],
+        [11.5, 12.0, 12.0], [11, 16, 9],
+    ),
+    ("static_rr", 1.0): (
+        69, 29, [7, 8, 5, 9, 0], 40, 11, 0.7727272727272727, 1.0,
+        [9.358333333333333, 10.116666666666667, 9.216666666666667],
+        [11.5, 11.5, 12.0], [13, 15, 12],
+    ),
+    ("static_rr", 2.0): (
+        69, 24, [4, 8, 2, 10, 0], 48, 24, 1.2708333333333333, 2.0,
+        [10.341666666666667, 10.666666666666666, 10.766666666666667],
+        [12.0, 11.5, 12.0], [14, 15, 16],
+    ),
+    ("static_rr", 5.0): (
+        69, 19, [4, 6, 1, 8, 0], 48, 29, 2.3620689655172415, 5.0,
+        [10.708333333333334, 10.466666666666667, 11.066666666666666],
+        [12.0, 11.5, 12.0], [16, 16, 18],
+    ),
+    ("least_loaded", 0.0): (
+        69, 23, [5, 6, 2, 8, 2], 0, 0, 0.0, 0.0,
+        [8.583333333333334, 10.041666666666666, 8.475],
+        [12.0, 12.0, 12.0], [15, 16, 15],
+    ),
+    ("least_loaded", 1.0): (
+        69, 25, [5, 7, 4, 9, 0], 36, 11, 0.7727272727272727, 1.0,
+        [10.008333333333333, 10.175, 9.841666666666667],
+        [12.0, 11.5, 12.0], [15, 15, 14],
+    ),
+    ("least_loaded", 2.0): (
+        69, 23, [3, 7, 3, 10, 0], 42, 19, 1.236842105263158, 2.0,
+        [10.708333333333334, 10.766666666666667, 10.916666666666666],
+        [12.0, 12.0, 12.0], [14, 16, 16],
+    ),
+    ("least_loaded", 5.0): (
+        69, 19, [3, 7, 2, 7, 0], 44, 25, 2.32, 5.0,
+        [10.875, 10.725, 11.191666666666666],
+        [12.0, 12.0, 12.0], [16, 16, 18],
+    ),
+}
+
+
+class TestPinnedParity:
+    @pytest.mark.parametrize("dispatcher,patience", sorted(QUEUEING_PINS))
+    def test_fields_match_pins(self, dispatcher, patience):
+        result = pinned_simulator(patience, dispatcher).run(
+            pinned_trace(), horizon_min=PIN_HORIZON
+        )
+        base = result.base
+        (requests, rejected, per_video, queued, queued_served, mean_wait,
+         max_wait, loads, peaks, served) = QUEUEING_PINS[dispatcher, patience]
+        assert base.num_requests == requests
+        assert base.num_rejected == rejected
+        assert base.per_video_rejected.tolist() == per_video
+        assert result.num_queued == queued
+        assert result.num_queued_served == queued_served
+        assert result.mean_wait_min == mean_wait
+        assert result.max_wait_min == max_wait
+        assert base.server_time_avg_load_mbps.tolist() == loads
+        assert base.server_peak_load_mbps.tolist() == peaks
+        assert base.server_served.tolist() == served
+
+    @pytest.mark.parametrize("patience", [0.0, 2.0])
+    def test_arrivals_past_horizon_are_counted(self, patience):
+        trace = pinned_trace()
+        result = pinned_simulator(patience, "static_rr").run(
+            trace, horizon_min=PIN_HORIZON
+        )
+        base = result.base
+        assert base.num_truncated == 6
+        assert base.num_requests + base.num_truncated == trace.num_requests
+        assert base.num_events > 0
+        assert base.wall_time_sec > 0.0
+        assert base.engine_path == "optimized"
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cluster_sim import BatchingClusterSimulator, VoDClusterSimulator
+from repro.cluster_sim import (
+    BatchingClusterSimulator,
+    QueueingClusterSimulator,
+    VoDClusterSimulator,
+)
 from repro.experiments import PAPER_COMBOS, PaperSetup, build_layout, simulate_combo
 from repro.runtime import (
     ParallelRunner,
@@ -117,6 +121,24 @@ class TestParallelDeterminism:
         assert report.num_events > 0
         assert report.sim_time_sec > 0.0
         assert report.engine_paths == {"optimized": 2}
+
+    def test_map_simulations_records_queueing_runs(self, small_setup):
+        """Wait-queue runs report the kernel's engine path and events."""
+        setup = small_setup
+        layout = build_layout(setup, PAPER_COMBOS[0], 0.75, 1.2)
+        simulator = QueueingClusterSimulator(
+            setup.cluster(1.2), setup.videos(), layout, patience_min=2.0
+        )
+        generator = WorkloadGenerator.poisson_zipf(setup.popularity(0.75), 10.0)
+        traces = list(generator.generate_runs(setup.peak_minutes, 2, 7))
+        with ParallelRunner(jobs=1) as runner:
+            results = runner.map_simulations(
+                simulator, traces, horizon_min=setup.peak_minutes
+            )
+        report = runner.report
+        assert report.engine_paths == {"optimized": 2}
+        assert report.num_events == sum(r.base.num_events for r in results)
+        assert report.num_events > 0
 
 
 class TestResultCache:
