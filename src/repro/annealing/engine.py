@@ -28,6 +28,15 @@ Contract for contexts:
 * cached floats may drift from full recomputation by accumulation error,
   so the engine calls ``resync()`` at every level boundary and recomputes
   the final best cost with ``problem.cost``.
+
+The automatic ``T0`` calibration walks a throw-away context too
+(``propose`` then ``commit``, the same rng draws as the full path's
+walk), but each sampled delta is a difference of full ``problem.cost``
+values, never the context's cached delta: ``T0`` averages only the
+positive samples, so ulp-level cache noise on cost-neutral moves would
+change it.  With full-cost deltas the incremental path's ``T0`` is
+bit-identical to :meth:`SimulatedAnnealer._calibrate_schedule`'s, which
+the full-recompute path keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -48,6 +57,9 @@ __all__ = [
     "IncrementalContext",
     "SimulatedAnnealer",
 ]
+
+#: Proposals in the random walk that calibrates ``T0``.
+_CALIBRATION_STEPS = 64
 
 
 @runtime_checkable
@@ -129,6 +141,18 @@ class AnnealingResult:
         return self.steps / self.wall_time_sec if self.wall_time_sec > 0 else 0.0
 
 
+def _schedule_from_deltas(deltas: list[float]) -> CoolingSchedule:
+    """Geometric schedule whose ``T0`` fits a calibration walk's deltas."""
+    if not deltas:
+        # Every proposal fell through (e.g. a fully saturated state
+        # whose repairs always fail): there is no uphill statistics to
+        # calibrate from.  A unit temperature keeps early acceptance
+        # permissive instead of freezing the search at the 1e-6 floor.
+        return GeometricCooling(1.0)
+    initial = estimate_initial_temperature(np.asarray(deltas, dtype=np.float64))
+    return GeometricCooling(max(initial, 1e-6))
+
+
 def _starting_state(
     problem: AnnealingProblem,
     rng: np.random.Generator,
@@ -183,21 +207,34 @@ class SimulatedAnnealer:
         cost = problem.cost(state)
         deltas = []
         current = state
-        for _ in range(64):
+        for _ in range(_CALIBRATION_STEPS):
             neighbor = problem.propose(current, rng)
             if neighbor is None:
                 continue
             new_cost = problem.cost(neighbor)
             deltas.append(new_cost - cost)
             current, cost = neighbor, new_cost
-        if not deltas:
-            # Every proposal fell through (e.g. a fully saturated state
-            # whose repairs always fail): there is no uphill statistics to
-            # calibrate from.  A unit temperature keeps early acceptance
-            # permissive instead of freezing the search at the 1e-6 floor.
-            return GeometricCooling(1.0)
-        initial = estimate_initial_temperature(np.asarray(deltas, dtype=np.float64))
-        return GeometricCooling(max(initial, 1e-6))
+        return _schedule_from_deltas(deltas)
+
+    def _calibrate_incremental(
+        self, problem: AnnealingProblem, state: Any, rng: np.random.Generator
+    ) -> CoolingSchedule:
+        """:meth:`_calibrate_schedule`'s walk, stepped by a throw-away context.
+
+        Deltas are full-cost differences, not the context's cached ones
+        (see the module docstring), so ``T0`` is bit-identical.
+        """
+        walk: IncrementalContext = problem.make_incremental(state)
+        cost = problem.cost(state)
+        deltas = []
+        for _ in range(_CALIBRATION_STEPS):
+            if walk.propose(rng) is None:
+                continue
+            walk.commit()
+            new_cost = problem.cost(walk.export_state())
+            deltas.append(new_cost - cost)
+            cost = new_cost
+        return _schedule_from_deltas(deltas)
 
     # ------------------------------------------------------------------
     def run(
@@ -344,7 +381,7 @@ class SimulatedAnnealer:
     ) -> AnnealingResult:
         """Delta-cost Metropolis loop over an :class:`IncrementalContext`."""
         state = _starting_state(problem, rng, initial_state)
-        schedule = self._schedule or self._calibrate_schedule(problem, state, rng)
+        schedule = self._schedule or self._calibrate_incremental(problem, state, rng)
 
         context: IncrementalContext = problem.make_incremental(state)
         cost = context.cost()

@@ -11,6 +11,14 @@ reproduction.
 Two dynamic policies are provided for the ablation study (E7): least-loaded
 (among holders) and first-fit.  Dynamic policies return multiple candidates;
 the simulator admits on the first with free bandwidth.
+
+The event kernel (:class:`~repro.cluster_sim.simulator.VoDClusterSimulator`)
+does not call :meth:`LeastLoadedDispatcher.candidates` on arrivals: it picks
+the least-utilized holder with room in one unsorted pass, which is the same
+decision.  ``candidates()`` remains the policy's specification, run verbatim
+by :class:`~repro.cluster_sim.reference.ReferenceClusterSimulator` (and by
+the kernel for subclasses), and the parity is tested case by case in
+``tests/test_least_loaded_parity.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +48,9 @@ def failover_order(
     the same tie rule as :class:`LeastLoadedDispatcher`.  The kernel's
     failover retries and wait list, and the reference loop's retries,
     all order holders through this single helper, which is what keeps
-    their candidate ordering bit-identical by construction.
+    their candidate ordering bit-identical by construction.  (The
+    kernel's arrival path under :class:`LeastLoadedDispatcher` makes the
+    equivalent one-pass pick instead; see the module docstring.)
     """
     return sorted(holders, key=lambda s: servers[s].utilization)
 
@@ -99,7 +109,14 @@ class StaticRoundRobinDispatcher(Dispatcher):
 
 
 class LeastLoadedDispatcher(Dispatcher):
-    """Dynamic policy: try holders from least to most utilized."""
+    """Dynamic policy: try holders from least to most utilized.
+
+    Admitting on the first of these with room means admitting on the
+    least-utilized holder with room, ties to the lower id.  The event
+    kernel evaluates exactly that in one pass when the dispatcher is this
+    class (not a subclass); :meth:`candidates` is the readable spec the
+    reference loop runs.
+    """
 
     name = "least_loaded"
 

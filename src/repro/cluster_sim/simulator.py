@@ -28,10 +28,15 @@ Python lists once per run (or once per simulator for the static tables),
 heap events are bare ``(time, kind, seq, payload)`` tuples compared by
 CPython's C tuple ordering, and the common DEPARTURE case plus the
 admission accounting are inlined instead of dispatching through
-:class:`StreamingServer` methods.  The clarity-first original lives on as
+:class:`StreamingServer` methods.  Under :class:`LeastLoadedDispatcher` an
+arrival is placed by one pass over the video's holders (least-utilized
+with room, ties to the lower id) instead of sorting ``candidates()``;
+other dispatchers are asked for their candidate list as before.  The
+clarity-first original lives on as
 :class:`~repro.cluster_sim.reference.ReferenceClusterSimulator`; the two
 are bit-identical field for field (see
-``tests/test_simulator_equivalence.py``).  Audited runs use this same
+``tests/test_simulator_equivalence.py`` and
+``tests/test_least_loaded_parity.py``).  Audited runs use this same
 loop: ``run(auditors=...)`` arms an :class:`AuditLog` that the loop fills
 behind ``if log is not None`` guards, and :mod:`repro.verify.audit`
 checks the run from that log afterwards.  Wait-queue admission
@@ -51,7 +56,12 @@ from ..model.cluster import ClusterSpec
 from ..model.layout import ReplicaLayout
 from ..model.video import VideoCollection
 from ..workload.requests import RequestTrace
-from .dispatch import Dispatcher, StaticRoundRobinDispatcher, failover_order
+from .dispatch import (
+    Dispatcher,
+    LeastLoadedDispatcher,
+    StaticRoundRobinDispatcher,
+    failover_order,
+)
 from .events import EventKind
 from .failures import FailoverPolicy, FailureSchedule, RereplicationPolicy
 from .metrics import SimulationResult
@@ -585,6 +595,8 @@ class VoDClusterSimulator:
         # rate_rows was bound above — the COW copy under re-replication).
         best_rates = self._best_rates_list
         candidates_of = dispatcher.candidates
+        least_loaded = type(dispatcher) is LeastLoadedDispatcher
+        holders_of = self._layout.holder_table.holders
         eps = _EPS_MBPS
 
         # Observation locals.  With observer=None (the default) both hot
@@ -739,60 +751,91 @@ class VoDClusterSimulator:
                 continue
             end_time = t + hold_list[index]
 
-            if failover_on_down and chaos:
-                # Without failure events no server is ever down, so the
-                # scan below is a no-op — skip it to keep the failure-free
-                # path on the plain hot path (BENCH chaos budget).
-                candidates = list(candidates_of(video, servers))
-                if any(not servers[s].is_up for s in candidates):
-                    # Replication's availability payoff: retry the remaining
-                    # holders when the dispatched server has crashed.
-                    extra = [
-                        s
-                        for s in dispatcher.holders(video)
-                        if s not in candidates
-                    ]
-                    extra.sort(key=lambda s: servers[s].utilization)
-                    candidates.extend(extra)
-            else:
-                candidates = candidates_of(video, servers)
-
-            admitted = False
             row = rate_rows[video]
-            for server_id in candidates:
+            server_id = None
+            if least_loaded:
+                # LeastLoadedDispatcher.candidates is the spec: every holder
+                # sorted by utilization, admitted on the first with room.
+                # That is the least-utilized holder with room, ties to the
+                # lower id, so one pass with a strict < picks it unsorted.
+                best_util = _INF
+                for candidate in holders_of[video]:
+                    rate = row[candidate]
+                    if rate > 0.0:
+                        server = servers[candidate]
+                        if (
+                            server.is_up
+                            and server.used_mbps + rate
+                            <= server.bandwidth_mbps + eps
+                            and (
+                                server.max_streams is None
+                                or server.active_streams < server.max_streams
+                            )
+                        ):
+                            # == StreamingServer.utilization
+                            util = server.used_mbps / server.bandwidth_mbps
+                            if util < best_util:
+                                server_id = candidate
+                                best_util = util
+            else:
+                if failover_on_down and chaos:
+                    # Without failure events no server is ever down, so
+                    # the scan below is a no-op — skip it to keep the
+                    # failure-free path on the plain hot path (BENCH
+                    # chaos budget).
+                    candidates = list(candidates_of(video, servers))
+                    if any(not servers[s].is_up for s in candidates):
+                        # Replication's availability payoff: retry the
+                        # remaining holders when the dispatched server has
+                        # crashed.
+                        extra = [
+                            s
+                            for s in dispatcher.holders(video)
+                            if s not in candidates
+                        ]
+                        extra.sort(key=lambda s: servers[s].utilization)
+                        candidates.extend(extra)
+                else:
+                    candidates = candidates_of(video, servers)
+                for candidate in candidates:
+                    rate = row[candidate]
+                    if rate > 0.0:
+                        server = servers[candidate]
+                        if (
+                            server.is_up
+                            and server.used_mbps + rate
+                            <= server.bandwidth_mbps + eps
+                            and (
+                                server.max_streams is None
+                                or server.active_streams < server.max_streams
+                            )
+                        ):
+                            server_id = candidate
+                            break
+
+            admitted = server_id is not None
+            if admitted:
+                # Inlined StreamingServer.admit.
                 rate = row[server_id]
-                if rate > 0.0:
-                    server = servers[server_id]
-                    if (
-                        server.is_up
-                        and server.used_mbps + rate
-                        <= server.bandwidth_mbps + eps
-                        and (
-                            server.max_streams is None
-                            or server.active_streams < server.max_streams
-                        )
-                    ):
-                        # Inlined StreamingServer.admit.
-                        last = server._last_time_min
-                        if t > last:
-                            server._load_integral += server.used_mbps * (t - last)
-                            server._last_time_min = t
-                        used = server.used_mbps + rate
-                        server.used_mbps = used
-                        server.active_streams += 1
-                        server.served_requests += 1
-                        if used > server.peak_load_mbps:
-                            server.peak_load_mbps = used
-                        heappush(
-                            heap,
-                            (end_time, _DEPARTURE, seq,
-                             (server_id, rate, False, server.epoch)),
-                        )
-                        seq += 1
-                        admitted = True
-                        if log is not None:
-                            decisions[index] = 1 + server_id
-                        break
+                server = servers[server_id]
+                last = server._last_time_min
+                if t > last:
+                    server._load_integral += server.used_mbps * (t - last)
+                    server._last_time_min = t
+                used = server.used_mbps + rate
+                server.used_mbps = used
+                server.active_streams += 1
+                server.served_requests += 1
+                if used > server.peak_load_mbps:
+                    server.peak_load_mbps = used
+                heappush(
+                    heap,
+                    (end_time, _DEPARTURE, seq,
+                     (server_id, rate, False, server.epoch)),
+                )
+                seq += 1
+                if log is not None:
+                    decisions[index] = 1 + server_id
 
             if not admitted and backbones is not None and (
                 rerep is None or any(row[s] > 0.0 for s in dispatcher_holders(video))

@@ -22,10 +22,12 @@ from repro.annealing import (
 from repro.model.problem import ReplicationProblem
 
 
-def make_problem(num_videos=40, num_servers=4, storage_gb=30.0):
+def make_problem(
+    num_videos=40, num_servers=4, storage_gb=30.0, bandwidth_mbps=900.0
+):
     popularity = ZipfPopularity(num_videos, 0.75)
     cluster = ClusterSpec.homogeneous(
-        num_servers, storage_gb=storage_gb, bandwidth_mbps=900.0
+        num_servers, storage_gb=storage_gb, bandwidth_mbps=bandwidth_mbps
     )
     videos = VideoCollection.homogeneous(num_videos)
     problem = ReplicationProblem(
@@ -169,6 +171,103 @@ class TestCalibrationGuard:
         result = annealer.run(DeadEndProblem(), np.random.default_rng(0))
         assert result.steps == 15
         assert result.accepted == 0
+
+
+def perturbed_state(sa, seed, moves=40):
+    """A feasible layout some committed full-path moves from the initial one."""
+    rng = np.random.default_rng(seed)
+    state = sa.initial_state(rng)
+    for _ in range(moves):
+        neighbor = sa.propose(state, rng)
+        if neighbor is not None:
+            state = neighbor
+    return state
+
+
+class _FirstTemperature:
+    """Observer keeping the level-0 temperature, i.e. the calibrated T0."""
+
+    def __init__(self):
+        self.t0 = None
+
+    def sa_level(self, *, level, temperature, **_):
+        if level == 0:
+            self.t0 = temperature
+
+    def sa_run_finished(self, result):
+        pass
+
+
+class TestCalibrationParity:
+    """The incremental path calibrates ``T0`` exactly like the full path.
+
+    Its walk moves through a throw-away context but samples full-cost
+    deltas, so ``T0`` and the rng state after calibration are bit-equal to
+    :meth:`SimulatedAnnealer._calibrate_schedule`'s (the oracle).
+    """
+
+    PROBLEMS = {
+        "small": dict(),
+        "wide": dict(num_videos=120, num_servers=8, storage_gb=45.0),
+    }
+
+    @staticmethod
+    def both_t0(sa, state, seed):
+        annealer = SimulatedAnnealer()
+        before = state.copy()
+        rng_full = np.random.default_rng(seed)
+        rng_inc = np.random.default_rng(seed)
+        full = annealer._calibrate_schedule(sa, state, rng_full)
+        inc = annealer._calibrate_incremental(sa, state, rng_inc)
+        assert rng_inc.bit_generator.state == rng_full.bit_generator.state
+        np.testing.assert_array_equal(state, before)  # the walk is a copy
+        return full.temperature(0), inc.temperature(0)
+
+    @pytest.mark.parametrize("size", sorted(PROBLEMS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cold_start(self, size, seed):
+        sa = make_problem(**self.PROBLEMS[size])
+        state = sa.initial_state(np.random.default_rng(seed))
+        full, inc = self.both_t0(sa, state, 100 + seed)
+        assert inc == full
+        assert full not in (1.0, 1e-6)  # the walk sampled uphill moves
+
+    @pytest.mark.parametrize("size", sorted(PROBLEMS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_warm_start(self, size, seed):
+        sa = make_problem(**self.PROBLEMS[size])
+        state = perturbed_state(sa, seed)
+        full, inc = self.both_t0(sa, state, 200 + seed)
+        assert inc == full
+        assert full not in (1.0, 1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_run_uses_the_same_t0_on_both_paths(self, seed):
+        sa = make_problem()
+        incumbent = perturbed_state(sa, seed)
+        annealer = SimulatedAnnealer(
+            steps_per_level=10, max_levels=2, patience_levels=0
+        )
+        t0 = {}
+        for use_incremental in (False, True):
+            observer = _FirstTemperature()
+            annealer.run(
+                sa,
+                np.random.default_rng(300 + seed),
+                use_incremental=use_incremental,
+                observer=observer,
+                initial_state=incumbent,
+            )
+            t0[use_incremental] = observer.t0
+        assert t0[True] == t0[False]
+
+    def test_saturated_state_falls_back_to_unit_temperature(self):
+        """Every proposal falls through: no replica can be raised or added."""
+        sa = make_problem(storage_gb=1.0e4, bandwidth_mbps=1.0e4)
+        state = np.full((40, 4), sa.max_rate)
+        assert sa.propose(state, np.random.default_rng(0)) is None
+        full, inc = self.both_t0(sa, state, 0)
+        assert inc == full == 1.0
 
 
 class TestRunChainsReporting:
