@@ -19,10 +19,6 @@ machine-readable before/after trajectory:
   through the full-recompute and incremental engine paths, reporting
   Metropolis steps/sec for both and cross-checking incremental deltas
   against full recomputation.
-* **Scale** — the fig5 workload split into 4 arrival shards and fanned
-  over a 4-worker pool, reporting aggregate events/sec vs the serial
-  baseline and gating the shard merge's exactness (pooled == serial ==
-  one genuine unsharded block simulation).
 * **Surrogate** — the analytical Erlang fixed-point layout scorer
   (`repro.analysis.surrogate`): layouts/sec on a fig5-scale batch vs
   DES-equivalent scoring (gated >=100x) plus the
@@ -32,7 +28,7 @@ Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py            # full scale
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --smoke    # CI scale
-    PYTHONPATH=src python benchmarks/bench_hotpaths.py --only scale
+    PYTHONPATH=src python benchmarks/bench_hotpaths.py --only vector
 
 Exit status is non-zero iff a determinism cross-check fails; timings are
 informational.  ``--output`` overrides the JSON path.  The ``*_seed``
@@ -196,8 +192,8 @@ def bench_vector(smoke: bool, repeats: int) -> dict:
     path fully engaged, so this measures the batched core rather than
     the delegation fallback.  The >=2x events/s budget against the
     pinned PR-2 tuple-core throughput is gated at full scale on >=4-core
-    machines (matching the scale block's policy: smoke runs and starved
-    CI boxes report advisory numbers only).
+    machines (smoke runs and starved CI boxes report advisory numbers
+    only).
     """
     popularity, cluster, videos, layout = _fig5_system()
     duration = 20.0 if smoke else 90.0
@@ -563,112 +559,6 @@ def bench_chaos(smoke: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Sharded scale-out benchmark (repro.cluster_sim.sharding)
-# ----------------------------------------------------------------------
-def bench_scale(smoke: bool, repeats: int) -> dict:
-    """K-way sharded scale-out: throughput and merge exactness.
-
-    Splits the fig5 workload into 4 full-rate arrival shards (weak
-    scaling: 4 pods, 4x the events) and times the shard set twice: all
-    shards serially in-process, and fanned over a 4-worker
-    :class:`ParallelRunner` via :func:`run_sharded`.  Reported speedup is
-    aggregate events/s over the serial baseline.
-
-    Correctness is gated on every run (including smoke):
-
-    * the pooled merge is bitwise the serial merge;
-    * the merge is permutation-invariant (``shard_indices``) and a K=1
-      merge is a no-op;
-    * the merged result is field-identical to one genuine unsharded
-      simulation of the 4-pod block system
-      (:func:`repro.verify.audit_shard_merge`).
-
-    The >=3x speedup budget gates only on non-smoke runs on machines with
-    at least 4 CPUs — a shared 1-2 core runner cannot express multi-core
-    scaling, and recording an honest miss there would gate on the
-    machine, not the code.
-    """
-    from repro.cluster_sim import merge_results, run_sharded, shard_traces
-    from repro.runtime import ParallelRunner
-    from repro.verify import audit_shard_merge, compare_merged
-
-    popularity, cluster, videos, layout = _fig5_system()
-    duration = 20.0 if smoke else 90.0
-    num_shards = workers = 4
-    generator = WorkloadGenerator.poisson_zipf(popularity, 40.0)
-    simulator = VoDClusterSimulator(cluster, videos, layout)
-    traces = shard_traces(generator, duration, seed=2, num_shards=num_shards)
-
-    def run_serial():
-        return [simulator.run(t, horizon_min=duration) for t in traces]
-
-    wall_serial, serial_results = _best_wall(run_serial, repeats)
-    serial_merged = merge_results(serial_results)
-
-    with ParallelRunner(jobs=workers) as runner:
-        run_pooled = lambda: run_sharded(
-            simulator, traces, runner=runner, horizon_min=duration
-        )
-        run_pooled()  # warm the worker pool before timing
-        wall_pooled, (pooled_merged, _) = _best_wall(run_pooled, repeats)
-
-    total_events = sum(r.num_events for r in serial_results)
-    serial_eps = total_events / wall_serial
-    pooled_eps = total_events / wall_pooled
-    speedup = pooled_eps / serial_eps
-
-    pooled_identical = compare_merged(serial_merged, pooled_merged) == []
-    if not pooled_identical:
-        print("FAIL: pooled shard merge diverged from the serial merge")
-    permuted = merge_results(
-        list(reversed(serial_results)),
-        shard_indices=list(reversed(range(num_shards))),
-    )
-    permutation_invariant = compare_merged(serial_merged, permuted) == []
-    if not permutation_invariant:
-        print("FAIL: shard merge is not permutation-invariant")
-    k1_noop = merge_results([serial_results[0]]) is serial_results[0]
-    if not k1_noop:
-        print("FAIL: K=1 merge is not a bitwise no-op")
-    block_report = audit_shard_merge(
-        simulator, traces, serial_merged, horizon_min=duration
-    )
-    if not block_report.ok:
-        for violation in block_report.violations:
-            print(f"FAIL: shard merge vs unsharded block: {violation}")
-
-    identical = (
-        pooled_identical
-        and permutation_invariant
-        and k1_noop
-        and block_report.ok
-    )
-    cpu_count = os.cpu_count() or 1
-    budget_met = speedup >= 3.0
-    ok = identical and (budget_met or smoke or cpu_count < workers)
-    return {
-        "num_shards": num_shards,
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "duration_min": duration,
-        "num_events_total": total_events,
-        "serial_events_per_sec": round(serial_eps, 1),
-        "parallel_events_per_sec": round(pooled_eps, 1),
-        "speedup": round(speedup, 2),
-        "serial_wall_sec": round(wall_serial, 6),
-        "parallel_wall_sec": round(wall_pooled, 6),
-        "budget_speedup": 3.0,
-        "budget_met": budget_met,
-        "budget_gated": not smoke and cpu_count >= workers,
-        "merged_bit_identical": pooled_identical,
-        "permutation_invariant": permutation_invariant,
-        "k1_merge_noop": k1_noop,
-        "unsharded_block_identical": block_report.ok,
-        "ok": ok,
-    }
-
-
-# ----------------------------------------------------------------------
 # Erlang-surrogate benchmark (repro.analysis.surrogate)
 # ----------------------------------------------------------------------
 def bench_surrogate(smoke: bool, repeats: int) -> dict:
@@ -872,7 +762,6 @@ def main(argv: list[str] | None = None) -> int:
             "audit",
             "observe",
             "chaos",
-            "scale",
             "surrogate",
             "annealing",
         ),
@@ -889,7 +778,6 @@ def main(argv: list[str] | None = None) -> int:
         "audit",
         "observe",
         "chaos",
-        "scale",
         "surrogate",
         "annealing",
     )
@@ -950,18 +838,6 @@ def main(argv: list[str] | None = None) -> int:
             f"ok={chaos['ok']}"
         )
         ok = ok and chaos["ok"]
-    if "scale" in selected:
-        scale = payload["scale"] = bench_scale(args.smoke, repeats)
-        print(
-            f"scale: {scale['parallel_events_per_sec']:,.0f} aggregate events/s "
-            f"on {scale['workers']} workers ({scale['speedup']}x serial, "
-            f"budget >={scale['budget_speedup']}x"
-            f"{' gated' if scale['budget_gated'] else ' advisory'}), "
-            f"merge identical={scale['merged_bit_identical']}, "
-            f"block identical={scale['unsharded_block_identical']}, "
-            f"ok={scale['ok']}"
-        )
-        ok = ok and scale["ok"]
     if "surrogate" in selected:
         surrogate = payload["surrogate"] = bench_surrogate(args.smoke, repeats)
         print(

@@ -7,10 +7,9 @@ Subcommands::
     python -m repro bench --smoke --only vector   # hot-path microbenchmarks
     python -m repro pipeline --theta 0.75 --rate 30 --observe
     python -m repro pipeline --engine optimized    # the scalar event loop
-    python -m repro pipeline --shards 4 --jobs 4   # sharded scale-out
+    python -m repro pipeline --runs 8 --jobs 2     # runs over 2 workers
     python -m repro pipeline --surrogate --quick   # analytical screen + top-K DES
     python -m repro serve --epochs 12 --elastic --slo 0.05 --drift release:3
-    python -m repro serve --shards 2 --jobs 2
     python -m repro observe-report trace.jsonl --chart
 
 ``experiments``, ``fuzz`` and ``bench`` delegate verbatim to the
@@ -20,8 +19,8 @@ which keep working unchanged.  ``pipeline`` runs the
 :func:`repro.pipeline.solve` facade for one design point, optionally
 instrumented; ``observe-report`` renders a trace JSONL written with
 ``--trace-out`` (or :meth:`repro.observe.Observer.export_jsonl`).
-``--engine``, ``--shards``, ``--jobs`` and ``--observe`` mean the same
-thing on ``pipeline`` and ``serve``.
+``--engine`` and ``--observe`` mean the same thing on ``pipeline`` and
+``serve``; ``pipeline --jobs`` fans its runs over worker processes.
 """
 
 from __future__ import annotations
@@ -46,22 +45,6 @@ def _shared_sim_flags(parser) -> None:
             "(optimized + invariant auditors); all engines produce "
             "identical results"
         ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "split each simulated run into K deterministic arrival-stream "
-            "shards and merge the per-shard results (weak scaling; "
-            "1 = unsharded)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the simulation stage (1 = in-process)",
     )
     parser.add_argument(
         "--observe",
@@ -134,6 +117,12 @@ def _pipeline_parser(subparsers) -> None:
         help="re-replication bandwidth cap",
     )
     _shared_sim_flags(parser)
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for the simulation stage (1 = in-process)",
+    )
     parser.add_argument(
         "--refine", action="store_true", help="hill-climb the placement"
     )
@@ -349,7 +338,6 @@ def _cmd_serve(args) -> int:
         failures=args.failures,
         failover=(FailoverPolicy() if args.failover else None),
         failover_on_down=args.failover,
-        shards=args.shards,
         setup=setup,
         seed=args.seed,
     )
@@ -358,18 +346,7 @@ def _cmd_serve(args) -> int:
         from .observe import Observer
 
         observer = Observer()
-    runner = None
-    if args.jobs > 1:
-        from .runtime import ParallelRunner
-
-        runner = ParallelRunner(jobs=args.jobs, observer=observer)
-    try:
-        result = ServingControlPlane(
-            config, observer=observer, runner=runner
-        ).run()
-    finally:
-        if runner is not None:
-            runner.close()
+    result = ServingControlPlane(config, observer=observer).run()
     print(result.format())
     print(f"digest: {result.digest()}")
     if observer is not None and args.trace_out:
@@ -414,7 +391,6 @@ def _cmd_pipeline(args) -> int:
         screen_candidates=args.screen_candidates,
         screen_top_k=args.top_k,
         screen_seed=args.screen_seed,
-        shards=args.shards,
         setup=setup,
     )
     observer = None

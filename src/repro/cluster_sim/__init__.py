@@ -12,10 +12,8 @@ Extensions layered on the same event machinery:
   [19], :mod:`.redirection`);
 * chaos & recovery: correlated/MTBF failure injection, failover dispatch
   with retry/backoff, and repair-driven re-replication (:mod:`.failures`);
-* deterministic K-way scale-out: struct-of-arrays request columns shared
-  by all three simulation loops (:mod:`.soa`) and shard/merge machinery
-  whose merged results are bit-identical to an unsharded block run
-  (:mod:`.sharding`);
+* struct-of-arrays request columns shared by all simulation loops
+  (:mod:`.soa`);
 * a vectorized event-batch engine over the SoA columns (:mod:`.vector`)
   behind the lockstep engine registry (:mod:`.engines`);
 * the wide-striping shared-storage architecture the paper argues against
@@ -55,15 +53,6 @@ from .queueing import QueueingClusterSimulator, QueueingResult
 from .redirection import BackboneLink
 from .reference import ReferenceClusterSimulator
 from .server import StreamingServer
-from .sharding import (
-    fold_unsharded,
-    merge_results,
-    run_sharded,
-    shard_failure_schedules,
-    shard_spawn_key,
-    shard_traces,
-    unsharded_equivalent,
-)
 from .simulator import VoDClusterSimulator
 from .soa import RequestSoA
 from .striping import StripedClusterSimulator
@@ -100,11 +89,4 @@ __all__ = [
     "StripedClusterSimulator",
     "VectorClusterSimulator",
     "VoDClusterSimulator",
-    "fold_unsharded",
-    "merge_results",
-    "run_sharded",
-    "shard_failure_schedules",
-    "shard_spawn_key",
-    "shard_traces",
-    "unsharded_equivalent",
 ]

@@ -406,18 +406,12 @@ class FailureSpec:
         *,
         seed: int,
         run_index: int = 0,
-        shard: int = 0,
     ) -> FailureSchedule:
         """Instantiate the schedule for one run (deterministic in
-        ``(spec, seed, run_index, shard)``).
+        ``(spec, seed, run_index)``).
 
-        ``shard`` extends the chaos spawn key for sharded runs: shard 0
-        keeps the unsharded key ``(0xFA11, run_index)``, shard ``k >= 1``
-        draws from ``(0xFA11, run_index, k)`` — independent per pod,
-        independent of the shard count, and still disjoint from every
-        workload stream.  Deterministic kinds (``single``) repeat
-        identically in every shard: each pod is a full copy of the base
-        system, outage included.
+        Random kinds draw from the chaos spawn key ``(0xFA11,
+        run_index)``, disjoint from every workload stream.
         """
         if self.kind == "none":
             return FailureSchedule.none()
@@ -425,11 +419,7 @@ class FailureSpec:
             return FailureSchedule.single(
                 self.time_min, self.server, self.down_min
             )
-        chaos_key = (
-            (_FAILURE_SPAWN_TAG, int(run_index))
-            if shard == 0
-            else (_FAILURE_SPAWN_TAG, int(run_index), int(shard))
-        )
+        chaos_key = (_FAILURE_SPAWN_TAG, int(run_index))
         if self.kind == "mtbf":
             return FailureSchedule.mtbf_process(
                 num_servers,

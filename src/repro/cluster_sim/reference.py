@@ -65,21 +65,11 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
             for k, spec in enumerate(self._cluster)
         ]
         dispatcher: Dispatcher = self._dispatcher_factory(self._layout)
-        # Redirection pods: one independent BackboneLink per pod (P=1 is
-        # the paper's single shared backbone; see the optimized loop).
-        pods = self._redirection_pods
-        if self._backbone_mbps > 0:
-            backbones = [
-                BackboneLink(self._backbone_mbps) for _ in range(pods)
-            ]
-            videos_per_pod = self._videos.num_videos // pods
-            servers_per_pod = len(servers) // pods
-            pod_servers = [
-                servers[p * servers_per_pod : (p + 1) * servers_per_pod]
-                for p in range(pods)
-            ]
-        else:
-            backbones = None
+        backbone = (
+            BackboneLink(self._backbone_mbps)
+            if self._backbone_mbps > 0
+            else None
+        )
         events = EventQueue()
         # Backbone bandwidth attributable to redirected streams per server,
         # so a crash can return the right amount in bulk.
@@ -132,8 +122,8 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
                 if server.epoch != epoch:
                     return  # stream already dropped by a crash
                 server.release(event.time, rate)
-                if redirected and backbones is not None:
-                    backbones[server_id // servers_per_pod].release(rate)
+                if redirected and backbone is not None:
+                    backbone.release(rate)
                     backbone_by_server[server_id] -= rate
             elif event.kind == EventKind.FAILURE:
                 failure = event.payload
@@ -141,10 +131,8 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
                 num_failures += 1
                 down_since[k] = event.time
                 streams_dropped += servers[k].fail(event.time)
-                if backbones is not None and backbone_by_server[k] > 0:
-                    backbones[k // servers_per_pod].release(
-                        float(backbone_by_server[k])
-                    )
+                if backbone is not None and backbone_by_server[k] > 0:
+                    backbone.release(float(backbone_by_server[k]))
                     backbone_by_server[k] = 0.0
                 if rerep is not None:
                     lost = lost_by_server[k]
@@ -285,24 +273,19 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
                     admitted = True
                     break
 
-            if not admitted and backbones is not None and (
+            if not admitted and backbone is not None and (
                 rerep is None
                 or any(
                     float(rate_matrix[video, s]) > 0.0
                     for s in dispatcher.holders(video)
                 )
             ):
-                # Redirection: any server in the video's pod with free
-                # outgoing bandwidth may stream the video's best copy over
-                # the pod's backbone — gated, under re-replication, on
-                # some replica actually existing.
+                # Redirection: any server with free outgoing bandwidth may
+                # stream the video's best copy over the backbone — gated,
+                # under re-replication, on some replica actually existing.
                 rate = float(self._best_rates[video])
-                pod = video // videos_per_pod
-                backbone = backbones[pod]
                 if backbone.can_carry(rate):
-                    delegate = self._least_utilized_with_room(
-                        pod_servers[pod], rate
-                    )
+                    delegate = self._least_utilized_with_room(servers, rate)
                     if delegate is not None:
                         backbone.acquire(rate)
                         backbone_by_server[delegate] += rate
@@ -356,9 +339,7 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
             server_bandwidth_mbps=self._cluster.bandwidth_mbps,
             horizon_min=float(horizon_min),
             num_redirected=(
-                sum(b.redirected_streams for b in backbones)
-                if backbones is not None
-                else 0
+                backbone.redirected_streams if backbone is not None else 0
             ),
             streams_dropped=streams_dropped,
             num_truncated=num_truncated,

@@ -103,7 +103,7 @@ class AuditLog:
         "last_event_time",
         "soa",
         "servers",
-        "backbones",
+        "backbone",
     )
 
     def __init__(self) -> None:
@@ -118,7 +118,7 @@ class AuditLog:
         self.last_event_time = 0.0
         self.soa: RequestSoA | None = None
         self.servers: list[StreamingServer] = []
-        self.backbones: list[BackboneLink] | None = None
+        self.backbone: BackboneLink | None = None
 
 
 class WaitList:
@@ -151,16 +151,6 @@ class VoDClusterSimulator:
     backbone_mbps:
         Internal-backbone capacity for the redirection extension; 0
         disables redirection (the paper's base admission control).
-    redirection_pods:
-        Number of independent backbone partitions (default 1, the
-        paper's single shared link).  With ``P > 1`` the cluster is
-        split into P contiguous pods — pod ``p`` owns videos
-        ``[p*M/P, (p+1)*M/P)`` and servers ``[p*N/P, (p+1)*N/P)`` —
-        each with its *own* ``backbone_mbps`` link, and a request may
-        only be redirected to a server inside its video's pod.  This is
-        exactly the K-shard block system, which is what makes the
-        sharded backbone merge exact (see
-        :func:`~repro.cluster_sim.sharding.unsharded_equivalent`).
     stream_limits:
         Optional per-server concurrent-stream caps from the disk-subsystem
         model (:mod:`repro.storage`); ``None`` keeps the paper's
@@ -177,7 +167,6 @@ class VoDClusterSimulator:
         *,
         dispatcher_factory=StaticRoundRobinDispatcher,
         backbone_mbps: float = 0.0,
-        redirection_pods: int = 1,
         stream_limits: "np.ndarray | list[int] | None" = None,
         validate_layout: bool = True,
     ) -> None:
@@ -195,19 +184,6 @@ class VoDClusterSimulator:
                 raise ValueError("stream_limits must be >= 0")
         self._stream_limits = stream_limits
         check_non_negative("backbone_mbps", backbone_mbps)
-        redirection_pods = int(redirection_pods)
-        if redirection_pods < 1:
-            raise ValueError("redirection_pods must be >= 1")
-        if redirection_pods > 1:
-            if videos.num_videos % redirection_pods:
-                raise ValueError(
-                    "redirection_pods must divide the number of videos"
-                )
-            if cluster.num_servers % redirection_pods:
-                raise ValueError(
-                    "redirection_pods must divide the number of servers"
-                )
-        self._redirection_pods = redirection_pods
         if validate_layout:
             # Mixed per-replica rates are a valid runtime configuration
             # (the Sec. 4.3 scalable setting); storage/coverage still hold.
@@ -359,24 +335,12 @@ class VoDClusterSimulator:
             for k, spec in enumerate(self._cluster)
         ]
         dispatcher: Dispatcher = self._dispatcher_factory(self._layout)
-        # Redirection pods: one independent BackboneLink per pod.  P=1 is
-        # the paper's single shared backbone; the per-pod indices below
-        # all reduce to 0 and the delegate scan covers every server, so
-        # the P=1 path is semantically identical to the historical single
-        # link (and the backbone-off hot path is untouched).
-        pods = self._redirection_pods
-        if self._backbone_mbps > 0:
-            backbones = [
-                BackboneLink(self._backbone_mbps) for _ in range(pods)
-            ]
-            videos_per_pod = self._videos.num_videos // pods
-            servers_per_pod = len(servers) // pods
-            pod_servers = [
-                servers[p * servers_per_pod : (p + 1) * servers_per_pod]
-                for p in range(pods)
-            ]
-        else:
-            backbones = None
+        # The paper's single shared backbone (None: redirection off).
+        backbone = (
+            BackboneLink(self._backbone_mbps)
+            if self._backbone_mbps > 0
+            else None
+        )
         # Bare-tuple event heap: (time, kind, seq, payload).  seq is the
         # insertion-order tiebreak, so tuple comparison never reaches the
         # payload (identical ordering to EventQueue).
@@ -477,10 +441,8 @@ class VoDClusterSimulator:
                         (event[0], k, servers[k].used_mbps)
                     )
                 streams_dropped += servers[k].fail(event[0])
-                if backbones is not None and backbone_by_server[k] > 0:
-                    backbones[k // servers_per_pod].release(
-                        backbone_by_server[k]
-                    )
+                if backbone is not None and backbone_by_server[k] > 0:
+                    backbone.release(backbone_by_server[k])
                     backbone_by_server[k] = 0.0
                 if rerep is not None:
                     if videos_of_server is None:
@@ -654,9 +616,7 @@ class VoDClusterSimulator:
                         server.used_mbps = used
                         server.active_streams -= 1
                         if dep_redirected:
-                            backbones[dep_server // servers_per_pod].release(
-                                dep_rate
-                            )
+                            backbone.release(dep_rate)
                             backbone_by_server[dep_server] -= dep_rate
                         if waiting:
                             serve_waiters(etime)
@@ -676,12 +636,10 @@ class VoDClusterSimulator:
                         [s.active_streams for s in servers],
                         arrivals_done,
                         sum(per_video_rejected),
-                        sum(b.redirected_streams for b in backbones)
-                        if backbones is not None
+                        backbone.redirected_streams
+                        if backbone is not None
                         else 0,
-                        sum(b.used_mbps for b in backbones)
-                        if backbones is not None
-                        else 0.0,
+                        backbone.used_mbps if backbone is not None else 0.0,
                     )
                 )
 
@@ -726,7 +684,7 @@ class VoDClusterSimulator:
                     server.used_mbps = used
                     server.active_streams -= 1
                     if redirected:
-                        backbones[server_id // servers_per_pod].release(rate)
+                        backbone.release(rate)
                         backbone_by_server[server_id] -= rate
                     if waiting:
                         serve_waiters(etime)
@@ -837,20 +795,17 @@ class VoDClusterSimulator:
                 if log is not None:
                     decisions[index] = 1 + server_id
 
-            if not admitted and backbones is not None and (
+            if not admitted and backbone is not None and (
                 rerep is None or any(row[s] > 0.0 for s in dispatcher_holders(video))
             ):
-                # Redirection: any server in the video's pod with free
-                # outgoing bandwidth may stream the video's best copy over
-                # the pod's backbone — gated, under re-replication, on
-                # some replica actually existing.
+                # Redirection: any server with free outgoing bandwidth may
+                # stream the video's best copy over the backbone — gated,
+                # under re-replication, on some replica actually existing.
                 rate = best_rates[video]
-                pod = video // videos_per_pod
-                backbone = backbones[pod]
                 if backbone.used_mbps + rate <= backbone.capacity_mbps + eps:
                     delegate = None
                     best_util = _INF
-                    for server in pod_servers[pod]:
+                    for server in servers:
                         if (
                             server.is_up
                             and server.used_mbps + rate
@@ -951,7 +906,7 @@ class VoDClusterSimulator:
                     continue
                 server.release(event[0], rate)
                 if redirected:
-                    backbones[server_id // servers_per_pod].release(rate)
+                    backbone.release(rate)
                     backbone_by_server[server_id] -= rate
                 if waiting:
                     serve_waiters(event[0])
@@ -984,9 +939,7 @@ class VoDClusterSimulator:
             server_bandwidth_mbps=self._cluster.bandwidth_mbps,
             horizon_min=horizon_min,
             num_redirected=(
-                sum(b.redirected_streams for b in backbones)
-                if backbones is not None
-                else 0
+                backbone.redirected_streams if backbone is not None else 0
             ),
             streams_dropped=streams_dropped,
             num_truncated=num_truncated,
@@ -1007,7 +960,7 @@ class VoDClusterSimulator:
         if log is not None:
             log.soa = soa
             log.servers = servers
-            log.backbones = backbones
+            log.backbone = backbone
         if observer is not None:
             observer.record_simulation(
                 samples=samples,

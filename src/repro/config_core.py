@@ -4,10 +4,9 @@
 the batch pipeline (:class:`repro.pipeline.PipelineConfig`) and the
 online serving plane (:class:`repro.serving.ServingConfig`): the design
 point, the run-time dispatch policy, the lockstep *engine*, the
-redirection backbone, the chaos stack and the shard count.  Both facade
-configs inherit from it, so the two CLI surfaces (``python -m repro
-pipeline`` / ``serve``) expose one vocabulary and validate it in one
-place.
+redirection backbone and the chaos stack.  Both facade configs inherit
+from it, so the two CLI surfaces (``python -m repro pipeline`` /
+``serve``) expose one vocabulary and validate it in one place.
 
 The core is ``kw_only``: subclasses keep their own field order and every
 call site constructs configs by keyword (the facades have never accepted
@@ -60,12 +59,6 @@ class SimulationConfig:
     failover_on_down:
         Immediate same-instant failover to surviving replica holders
         when the dispatched server is down.
-    shards:
-        Deterministic arrival-stream shards per simulated run, merged
-        back into one :class:`~repro.cluster_sim.SimulationResult`
-        (:mod:`repro.cluster_sim.sharding`).  Weak scaling: each shard
-        simulates the full system against its own full-rate sub-stream;
-        ``shards=1`` is bit-identical to the unsharded path.
     setup:
         The :class:`PaperSetup` to derive cluster/videos/seeds from.
     """
@@ -79,7 +72,6 @@ class SimulationConfig:
     failover: object = None
     rereplication: object = None
     failover_on_down: bool = False
-    shards: int = 1
     setup: PaperSetup = field(default_factory=PaperSetup)
 
     def __post_init__(self) -> None:
@@ -95,8 +87,6 @@ class SimulationConfig:
             raise ValueError(
                 f"backbone_mbps must be >= 0, got {self.backbone_mbps}"
             )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
 
 
 def core_field_names() -> tuple[str, ...]:

@@ -71,9 +71,9 @@ class PipelineConfig(SimulationConfig):
 
     The simulation-facing knobs shared with the serving plane (theta,
     replication degree, dispatcher, **engine**, backbone, chaos stack,
-    shards, setup) live on the common :class:`repro.config_core.
-    SimulationConfig` base and are documented there; the fields below
-    are the batch pipeline's own.
+    setup) live on the common :class:`repro.config_core.SimulationConfig`
+    base and are documented there; the fields below are the batch
+    pipeline's own.
 
     Attributes
     ----------
@@ -100,7 +100,7 @@ class PipelineConfig(SimulationConfig):
         (:mod:`repro.analysis.surrogate`), DES-simulate only the
         ``screen_top_k`` best-predicted survivors, and keep the winner.
         Incompatible with ``anneal`` (scalable rates are outside the
-        Erlang model) and with ``shards > 1``.
+        Erlang model).
     screen_candidates:
         Candidate layouts to score analytically: every replicator x
         placer combo, its Eq. (2)-refined variant, and random feasible
@@ -148,10 +148,6 @@ class PipelineConfig(SimulationConfig):
                 raise ValueError(
                     "surrogate screening needs fixed-rate layouts; it is "
                     "incompatible with anneal=True (scalable bit rates)"
-                )
-            if self.shards > 1:
-                raise ValueError(
-                    "surrogate screening does not compose with shards > 1"
                 )
             if self.screen_top_k < 1:
                 raise ValueError(
@@ -542,7 +538,6 @@ def solve(
             failover=config.failover,
             rereplication=config.rereplication,
             failover_on_down=config.failover_on_down,
-            num_shards=config.shards,
             engine=config.engine,
         )
         if observer is not None:
@@ -588,28 +583,6 @@ def solve(
             report.record_batch(time.perf_counter() - start)
         else:
             results = runner.run_trials(trials)
-
-        if config.shards > 1:
-            from .cluster_sim.sharding import merge_results
-
-            # Per-shard phase timings: shard k's wall time summed over all
-            # runs, so the RunReport/observer shows where the shard budget
-            # went even when the shards ran in a worker pool.
-            for k in range(config.shards):
-                sink.record_phase(
-                    f"shard{k}",
-                    sum(
-                        results[r * config.shards + k].wall_time_sec
-                        for r in range(num_runs)
-                    ),
-                )
-            with timed(sink, "merge"):
-                results = [
-                    merge_results(
-                        results[r * config.shards : (r + 1) * config.shards]
-                    )
-                    for r in range(num_runs)
-                ]
 
     if observer is not None:
         observer.fold_into_report(report)

@@ -180,8 +180,6 @@ class ParallelRunner:
         self,
         simulator,
         traces: "Iterable[RequestTrace]",
-        *,
-        per_trace_kwargs: "Sequence[dict | None] | None" = None,
         **run_kwargs,
     ) -> list:
         """Run ``simulator.run(trace, **run_kwargs)`` for every trace.
@@ -189,31 +187,12 @@ class ParallelRunner:
         The generic path for simulators outside the trial cache — the
         extension models (striping, batching and wait-queue admission; the
         run report records the kernel's :class:`SimulationResult`, which
-        batching and wait-queue results wrap as ``base``) and the fan-out
-        of sharded runs
-        (:func:`repro.cluster_sim.sharding.run_sharded`): parallel,
-        deterministic, but uncached.  ``per_trace_kwargs``,
-        when given, supplies one extra kwargs dict per trace (``None``
-        entries allowed) merged over ``run_kwargs`` — sharded chaos runs
-        use it to hand each shard its own failure schedule.  The
-        simulator is pickled once per task; simulators are stateless
-        across runs by contract, so sharing one instance across workers
-        is safe.
+        batching and wait-queue results wrap as ``base``): parallel,
+        deterministic, but uncached.  The simulator is pickled once per
+        task; simulators are stateless across runs by contract, so
+        sharing one instance across workers is safe.
         """
-        traces = list(traces)
-        if per_trace_kwargs is None:
-            tasks = [(simulator, trace, run_kwargs) for trace in traces]
-        else:
-            extras = list(per_trace_kwargs)
-            if len(extras) != len(traces):
-                raise ValueError(
-                    f"{len(extras)} per-trace kwargs for "
-                    f"{len(traces)} traces"
-                )
-            tasks = [
-                (simulator, trace, {**run_kwargs, **(extra or {})})
-                for trace, extra in zip(traces, extras)
-            ]
+        tasks = [(simulator, trace, run_kwargs) for trace in traces]
         start = time.perf_counter()
         with timed(self.report, "simulate"):
             results = self._execute(_run_simulation, tasks)

@@ -36,7 +36,6 @@ from ..cluster_sim.failures import (
     RereplicationPolicy,
 )
 from ..cluster_sim.metrics import SimulationResult
-from ..cluster_sim.sharding import shard_spawn_key
 from ..model.layout import ReplicaLayout
 from ..workload import WorkloadGenerator
 from ..workload.requests import RequestTrace
@@ -82,13 +81,6 @@ class TrialSpec:
     failover: FailoverPolicy | None = None
     rereplication: RereplicationPolicy | None = None
     failover_on_down: bool = False
-    #: Scale-out extension: the run's shard count and this trial's shard.
-    #: Shard 0 regenerates the plain run's trace (workload spawn key
-    #: ``(run_index,)``); shard ``k >= 1`` draws from ``(run_index, k)``
-    #: and chaos from ``(0xFA11, run_index, k)`` — see
-    #: :mod:`repro.cluster_sim.sharding`.
-    num_shards: int = 1
-    shard_index: int = 0
     #: Content hash shared by all trials of one design point; fills in the
     #: worker-side simulator memo and the cache key.  Computed by
     #: :func:`make_trials`.
@@ -118,24 +110,14 @@ def make_trials(
     failover: FailoverPolicy | None = None,
     rereplication: RereplicationPolicy | None = None,
     failover_on_down: bool = False,
-    num_shards: int = 1,
     engine: str = DEFAULT_ENGINE,
 ) -> list[TrialSpec]:
-    """Build the trial specs of one design point.
-
-    ``num_runs * num_shards`` specs, run-major (run 0's shards first) so
-    consecutive groups of ``num_shards`` results merge into one run via
-    :func:`repro.cluster_sim.sharding.merge_results`.
+    """Build the ``num_runs`` trial specs of one design point.
 
     The configuration hash binds the full setup, the layout contents, the
-    design point, the dispatcher/backbone options, the shard count, and
-    the code version — the cache-invalidation key of the ISSUE's
-    contract.  The shard count is part of the hash (and the shard index
-    part of :func:`trial_cache_key`), so a sharded run and an unsharded
-    run of the same design point can never collide in the cache.
+    design point, the dispatcher/backbone options and the code version —
+    the cache-invalidation key.
     """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     base = TrialSpec(
         setup=setup,
         layout=layout,
@@ -152,7 +134,6 @@ def make_trials(
         failover=failover,
         rereplication=rereplication,
         failover_on_down=bool(failover_on_down),
-        num_shards=int(num_shards),
     )
     config_key = content_key(
         {
@@ -169,38 +150,32 @@ def make_trials(
             "failover": base.failover,
             "rereplication": base.rereplication,
             "failover_on_down": base.failover_on_down,
-            "num_shards": base.num_shards,
             "engine": base.engine,
             "simulator": ENGINES[base.engine].__qualname__,
             "code_version": code_version(),
         }
     )
     return [
-        replace(base, run_index=r, shard_index=k, config_key=config_key)
+        replace(base, run_index=r, config_key=config_key)
         for r in range(int(num_runs))
-        for k in range(int(num_shards))
     ]
 
 
 def trial_cache_key(spec: TrialSpec) -> str:
-    """Cache key of one trial: design-point hash + run index + shard."""
+    """Cache key of one trial: design-point hash + run index."""
     return hashlib.sha256(
-        f"{spec.config_key}:{spec.run_index}:{spec.shard_index}".encode()
+        f"{spec.config_key}:{spec.run_index}".encode()
     ).hexdigest()
 
 
 def trial_trace(spec: TrialSpec) -> RequestTrace:
-    """Regenerate the trial's request trace (bit-identical to serial).
-
-    Shard 0 draws the plain run's stream; shard ``k >= 1`` its own
-    sub-stream (see :func:`repro.cluster_sim.sharding.shard_spawn_key`).
-    """
+    """Regenerate the trial's request trace (bit-identical to serial)."""
     generator = WorkloadGenerator.poisson_zipf(
         spec.setup.popularity(spec.theta), spec.arrival_rate_per_min
     )
     child = np.random.SeedSequence(
         entropy=spec.seed,
-        spawn_key=shard_spawn_key(spec.run_index, spec.shard_index),
+        spawn_key=(int(spec.run_index),),
     )
     return generator.generate(
         spec.resolved_horizon_min(), np.random.default_rng(child)
@@ -234,8 +209,8 @@ def trial_run_kwargs(spec: TrialSpec) -> dict:
     """Chaos keyword arguments for ``run()``, built from the spec's recipe.
 
     The failure schedule is derived per run from
-    ``SeedSequence(seed, spawn_key=(0xFA11, run_index[, shard]))`` — a
-    stream disjoint from the workload's ``spawn_key=(run_index[, shard])``
+    ``SeedSequence(seed, spawn_key=(0xFA11, run_index))`` — a stream
+    disjoint from the workload's ``spawn_key=(run_index,)``
     — so enabling chaos never perturbs the arrival process.
     """
     if spec.failures is None:
@@ -247,7 +222,6 @@ def trial_run_kwargs(spec: TrialSpec) -> dict:
             spec.resolved_horizon_min(),
             seed=spec.seed,
             run_index=spec.run_index,
-            shard=spec.shard_index,
         ),
         "failover_on_down": spec.failover_on_down,
         "failover": spec.failover,

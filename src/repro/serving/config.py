@@ -68,13 +68,8 @@ class ServingConfig(SimulationConfig):
 
     The simulation-facing knobs shared with the batch pipeline (theta,
     replication degree, dispatcher, **engine**, backbone, chaos stack,
-    shards, setup) live on the common :class:`repro.config_core.
-    SimulationConfig` base and are documented there.  ``shards`` splits
-    every epoch's workload into that many full-rate sub-streams — shard
-    0 regenerates the unsharded epoch trace, shard ``k >= 1`` draws from
-    the extended spawn key ``(0x5E12, epoch, k)`` — simulated
-    independently and merged (:func:`repro.cluster_sim.sharding.
-    merge_results`) into one K-pod result per epoch.
+    setup) live on the common :class:`repro.config_core.SimulationConfig`
+    base and are documented there.
 
     Attributes
     ----------
@@ -129,8 +124,7 @@ class ServingConfig(SimulationConfig):
         Root seed; ``None`` takes the setup's.
 
     The chaos spec builds per-epoch schedules with the epoch index as
-    run index (spawn key ``(0xFA11, epoch)``; shard ``k >= 1`` extends
-    it to ``(0xFA11, epoch, k)``).
+    run index (spawn key ``(0xFA11, epoch)``).
     """
 
     epochs: int = 8
@@ -241,7 +235,7 @@ class ServingConfig(SimulationConfig):
 
         The pipeline's arrival rate becomes the diurnal peak (with the
         base at half of it); every shared-core knob — design point,
-        dispatcher, engine, backbone, chaos stack, shards, setup —
+        dispatcher, engine, backbone, chaos stack, setup —
         carries over verbatim.  Keyword overrides win.
         """
         fields = {

@@ -37,7 +37,6 @@ from ..cluster_sim import (
 )
 from ..cluster_sim.failures import FailureSchedule
 from ..cluster_sim.metrics import SimulationResult
-from ..cluster_sim.sharding import run_sharded
 from ..dynamic.drift import DriftDetector
 from ..dynamic.migration import plan_migration
 from ..dynamic.tracker import EwmaPopularityTracker
@@ -50,7 +49,7 @@ from .elasticity import ElasticityController, ElasticityPolicy
 from .workload import (
     epoch_offered_rate,
     epoch_rng,
-    epoch_traces,
+    epoch_trace,
     evolve_popularity,
 )
 
@@ -262,15 +261,9 @@ class ServingResult:
 class ServingControlPlane:
     """The continuously running controller (see module docstring)."""
 
-    def __init__(
-        self, config: ServingConfig, *, observer=None, runner=None
-    ) -> None:
+    def __init__(self, config: ServingConfig, *, observer=None) -> None:
         self._config = config
         self._observer = observer
-        #: Optional :class:`repro.runtime.ParallelRunner` fanning the
-        #: per-epoch shard simulations out over worker processes; the
-        #: active (serial by default) runner is used otherwise.
-        self._runner = runner
         setup = config.setup
         self._setup = setup
         self._capacity = setup.capacity_replicas(config.replication_degree)
@@ -296,7 +289,7 @@ class ServingControlPlane:
         )
 
     def _epoch_failures(
-        self, epoch: int, num_servers: int, shard: int = 0
+        self, epoch: int, num_servers: int
     ) -> FailureSchedule | None:
         spec = self._config.failures
         if spec is None:
@@ -306,7 +299,6 @@ class ServingControlPlane:
             self._epoch_min,
             seed=self._seed,
             run_index=epoch,
-            shard=shard,
         )
         # An elastic drain can shrink the cluster below a pinned server
         # index (e.g. a `single:server=7` spec); those events target a
@@ -318,15 +310,9 @@ class ServingControlPlane:
 
     def _simulate(
         self, epoch: int, layout: ReplicaLayout, num_servers: int,
-        traces,
+        trace,
     ) -> SimulationResult:
-        """Simulate one epoch: one trace per shard, merged to one result.
-
-        Unsharded configs run the single trace directly; ``shards=K``
-        fans the K full-rate sub-streams out through
-        :func:`repro.cluster_sim.sharding.run_sharded` (each shard its
-        own chaos schedule) and merges them into one K-pod result.
-        """
+        """Simulate one epoch's trace on *layout*."""
         config = self._config
         simulator = make_simulator(
             config.engine,
@@ -336,34 +322,15 @@ class ServingControlPlane:
             dispatcher_factory=make_dispatcher_factory(config.dispatcher),
             backbone_mbps=config.backbone_mbps,
         )
-        if len(traces) == 1:
-            return simulator.run(
-                traces[0],
-                horizon_min=self._epoch_min,
-                failures=self._epoch_failures(epoch, num_servers),
-                failover=config.failover,
-                rereplication=config.rereplication,
-                failover_on_down=config.failover_on_down,
-                **engine_run_kwargs(config.engine),
-            )
-        schedules = None
-        if config.failures is not None:
-            schedules = [
-                self._epoch_failures(epoch, num_servers, shard)
-                for shard in range(len(traces))
-            ]
-        merged, _ = run_sharded(
-            simulator,
-            traces,
-            runner=self._runner,
-            failure_schedules=schedules,
+        return simulator.run(
+            trace,
             horizon_min=self._epoch_min,
+            failures=self._epoch_failures(epoch, num_servers),
             failover=config.failover,
             rereplication=config.rereplication,
             failover_on_down=config.failover_on_down,
             **engine_run_kwargs(config.engine),
         )
-        return merged
 
     # ------------------------------------------------------------------
     def _screen_keeps_incumbent(
@@ -495,9 +462,9 @@ class ServingControlPlane:
         snapshots: list[EpochSnapshot] = []
         for epoch in range(config.epochs):
             true_probs = evolve_popularity(config, epoch, true_probs)
-            traces = epoch_traces(config, epoch, true_probs)
+            trace = epoch_trace(config, epoch, true_probs)
             offered = epoch_offered_rate(config, epoch)
-            result = self._simulate(epoch, layout, num_servers, traces)
+            result = self._simulate(epoch, layout, num_servers, trace)
 
             counts = result.per_video_requests
             cold = int(np.sum(counts)) == 0
@@ -579,13 +546,11 @@ class ServingControlPlane:
 
             snapshot = EpochSnapshot(
                 epoch=epoch,
-                # The merged result concatenates per-shard server arrays;
-                # the snapshot reports the logical (per-pod) cluster size.
-                num_servers=(
-                    result.server_time_avg_load_mbps.shape[0] // config.shards
-                ),
+                # The size the epoch ran at: the elastic step above has
+                # already moved ``num_servers`` to next epoch's size.
+                num_servers=result.num_servers,
                 offered_rate_per_min=offered,
-                num_generated=sum(t.num_requests for t in traces),
+                num_generated=trace.num_requests,
                 num_requests=result.num_requests,
                 num_admitted=result.num_served,
                 num_rejected=result.num_rejected,
@@ -630,6 +595,6 @@ def chain_batch_epochs(config: ServingConfig) -> list[SimulationResult]:
     results: list[SimulationResult] = []
     for epoch in range(config.epochs):
         true_probs = evolve_popularity(config, epoch, true_probs)
-        traces = epoch_traces(config, epoch, true_probs)
-        results.append(plane._simulate(epoch, layout, num_servers, traces))
+        trace = epoch_trace(config, epoch, true_probs)
+        results.append(plane._simulate(epoch, layout, num_servers, trace))
     return results

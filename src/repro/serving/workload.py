@@ -39,14 +39,13 @@ __all__ = [
     "epoch_arrivals",
     "epoch_offered_rate",
     "epoch_trace",
-    "epoch_traces",
     "evolve_popularity",
     "WORKLOAD_TAG",
     "DRIFT_TAG",
 ]
 
 #: Spawn-key tags; disjoint from the trial workload keys (plain run
-#: indices), the chaos tag ``0xFA11`` and the shard tags.
+#: indices) and the chaos tag ``0xFA11``.
 WORKLOAD_TAG = 0x5E12
 DRIFT_TAG = 0xD21F
 
@@ -54,21 +53,11 @@ DRIFT_TAG = 0xD21F
 _RAMP_START, _PEAK_START, _PEAK_END, _RAMP_END = 0.125, 0.375, 0.625, 0.875
 
 
-def epoch_rng(
-    seed: int, epoch: int, tag: int, shard: int = 0
-) -> np.random.Generator:
-    """The epoch's private random stream for one purpose *tag*.
-
-    Shard 0 keeps the historical key ``(tag, epoch)`` (bit-identical to
-    unsharded serving); shard ``k >= 1`` extends it to
-    ``(tag, epoch, k)`` — independent per shard and independent of the
-    shard count.
-    """
-    key = (int(tag), int(epoch))
-    if shard:
-        key = (*key, int(shard))
+def epoch_rng(seed: int, epoch: int, tag: int) -> np.random.Generator:
+    """The epoch's private random stream for one purpose *tag* (spawn
+    key ``(tag, epoch)``)."""
     return np.random.default_rng(
-        np.random.SeedSequence(int(seed), spawn_key=key)
+        np.random.SeedSequence(int(seed), spawn_key=(int(tag), int(epoch)))
     )
 
 
@@ -139,14 +128,11 @@ def epoch_trace(
     config: ServingConfig,
     epoch: int,
     probabilities: np.ndarray,
-    shard: int = 0,
 ) -> RequestTrace:
     """Generate epoch ``epoch``'s request trace for a true popularity.
 
-    Uses only ``(config, epoch, probabilities, shard)`` — not controller
-    state — so manually chained batch epochs regenerate the identical
-    trace.  ``shard`` selects the sub-stream of a sharded epoch (see
-    :func:`epoch_rng`); each shard draws a full-rate trace.
+    Uses only ``(config, epoch, probabilities)`` — not controller state —
+    so manually chained batch epochs regenerate the identical trace.
     """
     generator = WorkloadGenerator(
         PopularityModel.from_probabilities(probabilities),
@@ -154,19 +140,8 @@ def epoch_trace(
     )
     return generator.generate(
         config.resolved_epoch_minutes,
-        epoch_rng(config.resolved_seed, epoch, WORKLOAD_TAG, shard),
+        epoch_rng(config.resolved_seed, epoch, WORKLOAD_TAG),
     )
-
-
-def epoch_traces(
-    config: ServingConfig, epoch: int, probabilities: np.ndarray
-) -> list[RequestTrace]:
-    """All ``config.shards`` sub-stream traces of one epoch, in shard
-    order (a one-element list for unsharded configs)."""
-    return [
-        epoch_trace(config, epoch, probabilities, shard)
-        for shard in range(config.shards)
-    ]
 
 
 def evolve_popularity(

@@ -12,9 +12,6 @@ This package is the correctness backstop for the optimized hot paths:
 * :mod:`repro.verify.fuzz` — the deterministic scenario fuzzer
   (``python -m repro.verify.fuzz --cases N --seed S``) running
   fast-vs-reference DES and incremental-vs-full annealing differentially;
-* :mod:`repro.verify.shard_audit` — the shard-merge auditor, comparing a
-  K-shard :func:`~repro.cluster_sim.sharding.merge_results` merge against
-  one genuine unsharded block simulation field by field;
 * :mod:`repro.verify.surrogate_audit` — the Erlang-surrogate auditor
   (``python -m repro.verify.surrogate_audit``), cross-validating
   :mod:`repro.analysis.surrogate` rejection predictions against the real
@@ -41,7 +38,6 @@ from .auditors import (
 )
 from .corpus import load_case, load_corpus, save_case
 from .scenarios import FuzzCase, build_des, build_sa, draw_case
-from .shard_audit import ShardMergeReport, audit_shard_merge, compare_merged
 from .shrink import shrink_case
 
 #: Names served lazily (PEP 562) from submodules with a ``__main__``
@@ -100,9 +96,6 @@ __all__ = [
     "build_des",
     "build_sa",
     "draw_case",
-    "ShardMergeReport",
-    "audit_shard_merge",
-    "compare_merged",
     "shrink_case",
     "SurrogateAuditCase",
     "SurrogateAuditReport",

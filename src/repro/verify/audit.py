@@ -162,8 +162,7 @@ def _reconstruct(
     vid: np.ndarray,
     crash_records: list,
     servers: list[StreamingServer],
-    backbones: "list[BackboneLink] | None",
-    servers_per_pod: int,
+    backbone: "BackboneLink | None",
     enabled: frozenset,
 ) -> None:
     """Rebuild every shadow account from the admission/crash tables."""
@@ -219,13 +218,11 @@ def _reconstruct(
         weights=rate * (np.minimum(eff, H) - t0),
         minlength=num_servers,
     ).tolist()
-    # Backbone shadow accounts stay cluster-global (summed over pods);
-    # the peak check below is the only per-pod reconstruction.
     audit.shadow_backbone = (
-        float(rate[red & alive_end].sum()) if backbones is not None else 0.0
+        float(rate[red & alive_end].sum()) if backbone is not None else 0.0
     )
     audit.backbone_used_mbps = (
-        sum(b.used_mbps for b in backbones) if backbones is not None else 0.0
+        backbone.used_mbps if backbone is not None else 0.0
     )
 
     if "placement" in enabled and len(t0) and audit.rate_matrix is not None:
@@ -364,30 +361,18 @@ def _reconstruct(
                         f"streams over its cap of {server.max_streams}",
                     )
                 )
-    if check_bw and backbones is not None and bool(red.any()):
-        # Each pod's backbone is an independent link with the full
-        # per-pod capacity, so the peak is reconstructed per pod (the
-        # delegate's server block identifies the pod).
-        capacity = backbones[0].capacity_mbps
-        r_idx = np.flatnonzero(red)
-        pod_of = sid[r_idx] // servers_per_pod
-        for p in np.unique(pod_of):
-            sel = r_idx[pod_of == p]
-            peak, when = _peak_time(t0[sel], eff[sel], rate[sel])
-            if peak > capacity * (1 + 1e-9) + _EPS_MBPS:
-                label = (
-                    "backbone"
-                    if len(backbones) == 1
-                    else f"pod {int(p)} backbone"
+    if check_bw and backbone is not None and bool(red.any()):
+        capacity = backbone.capacity_mbps
+        peak, when = _peak_time(t0[red], eff[red], rate[red])
+        if peak > capacity * (1 + 1e-9) + _EPS_MBPS:
+            violations.append(
+                Violation(
+                    "bandwidth",
+                    when,
+                    f"backbone occupancy reconstructed at {peak:.9f} "
+                    f"Mb/s exceeds its {capacity:.9f} Mb/s capacity",
                 )
-                violations.append(
-                    Violation(
-                        "bandwidth",
-                        when,
-                        f"{label} occupancy reconstructed at {peak:.9f} "
-                        f"Mb/s exceeds its {capacity:.9f} Mb/s capacity",
-                    )
-                )
+            )
 
 
 def run_audited(
@@ -537,8 +522,7 @@ def _run_audited(
         vid,
         log.crash_records,
         servers,
-        log.backbones,
-        num_servers // simulator._redirection_pods,
+        log.backbone,
         enabled,
     )
 

@@ -103,7 +103,6 @@ def _run_des(params: dict) -> tuple[list[str], dict]:
         dispatcher_factory=optimized._dispatcher_factory,
         backbone_mbps=optimized._backbone_mbps,
         stream_limits=optimized._stream_limits,
-        redirection_pods=optimized._redirection_pods,
     )
     vec_result = vector.run(trace, **run_kwargs)
     if not result.same_outcome(vec_result):

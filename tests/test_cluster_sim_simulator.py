@@ -6,6 +6,7 @@ import pytest
 from repro import ClusterSpec, VideoCollection, ZipfPopularity
 from repro.cluster_sim import (
     LeastLoadedDispatcher,
+    RequestSoA,
     SimulationResult,
     VoDClusterSimulator,
 )
@@ -381,3 +382,46 @@ class TestInstrumentation:
         a = sim.run(RequestTrace(np.array([0.0]), np.array([0])), horizon_min=10.0)
         b = sim.run(RequestTrace(np.array([0.0]), np.array([1])), horizon_min=10.0)
         assert not a.same_outcome(b)
+
+
+class TestRequestSoA:
+    DURATIONS = np.array([10.0, 20.0])
+
+    def test_horizon_cut_keeps_boundary_arrivals(self):
+        trace = RequestTrace(
+            np.array([1.0, 2.0, 2.0, 3.0]), np.array([0, 1, 0, 1])
+        )
+        soa = RequestSoA.from_trace(trace, self.DURATIONS, 2.0)
+        assert soa.num_requests == 4
+        assert soa.num_simulated == 3  # arrivals exactly at the horizon run
+        assert soa.num_truncated == 1
+        assert soa.times_list == [1.0, 2.0, 2.0]
+        assert soa.videos_list == [0, 1, 0]
+
+    def test_holds_default_to_full_duration(self):
+        trace = RequestTrace(np.array([0.0, 1.0]), np.array([0, 1]))
+        soa = RequestSoA.from_trace(trace, self.DURATIONS, 10.0)
+        assert soa.holds_list == [10.0, 20.0]
+
+    def test_holds_clip_watch_time_to_duration(self):
+        trace = RequestTrace(
+            np.array([0.0, 1.0]),
+            np.array([0, 1]),
+            np.array([25.0, 5.0]),
+        )
+        soa = RequestSoA.from_trace(trace, self.DURATIONS, 10.0)
+        assert soa.holds_list == [10.0, 5.0]
+
+    def test_video_id_validation(self):
+        from types import SimpleNamespace
+
+        # RequestTrace rejects negative ids itself; a duck-typed trace
+        # exercises the SoA layer's own defensive check.
+        negative = SimpleNamespace(
+            arrival_min=np.array([0.0]), videos=np.array([-1]), watch_min=None
+        )
+        with pytest.raises(ValueError, match="negative video id"):
+            RequestSoA.from_trace(negative, self.DURATIONS, 10.0)
+        outside = RequestTrace(np.array([0.0]), np.array([2]))
+        with pytest.raises(ValueError, match="outside the collection"):
+            RequestSoA.from_trace(outside, self.DURATIONS, 10.0)

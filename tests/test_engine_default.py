@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro import PipelineConfig, solve
-from repro.cluster_sim import DEFAULT_ENGINE, merge_results
+from repro.cluster_sim import DEFAULT_ENGINE
 from repro.config_core import SimulationConfig
 from repro.experiments import PaperSetup
 from repro.runtime import ResultCache, RunReport
@@ -126,13 +126,3 @@ class TestProvenanceIsNotOutcome:
         report = RunReport()
         report.record_hit(hit)
         assert report.engine_paths == {} and report.num_vector_servers == 0
-
-    def test_shard_merge_keeps_agreeing_provenance(self):
-        solved = solve(replace(_paper_config(30.0), num_runs=1, shards=2))
-        (merged,) = solved.results
-        assert merged.engine_path == "vector"
-        assert merged.vector_fallbacks == 0
-        other = replace(merged, engine_path="optimized", vector_fallbacks=None)
-        mixed = merge_results([merged, other])
-        assert mixed.engine_path is None
-        assert mixed.vector_fallbacks is None

@@ -7,6 +7,7 @@ from repro import ClusterSpec, VideoCollection, ZipfPopularity
 from repro.cluster_sim import (
     FailureEvent,
     FailureSchedule,
+    FailureSpec,
     VoDClusterSimulator,
 )
 from repro.cluster_sim.server import StreamingServer
@@ -107,6 +108,41 @@ class TestFailureSchedule:
 
     def test_none(self):
         assert len(FailureSchedule.none()) == 0
+
+
+class TestFailureSpecChaosKey:
+    """``FailureSpec.build`` draws run ``r`` from spawn key ``(0xFA11, r)``."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 20020818])
+    @pytest.mark.parametrize("run_index", [0, 1, 5])
+    def test_random_draws_from_the_chaos_key(self, seed, run_index):
+        built = FailureSpec.parse("random:mtbf=40,mttr=10").build(
+            6, 120.0, seed=seed, run_index=run_index
+        )
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(0xFA11, run_index))
+        )
+        direct = FailureSchedule.random(
+            6, 120.0, rng, mtbf_min=40.0, mttr_min=10.0
+        )
+        assert len(built) > 0
+        assert list(built) == list(direct)
+
+    @pytest.mark.parametrize("run_index", [0, 3])
+    def test_mtbf_draws_from_the_chaos_prefix(self, run_index):
+        built = FailureSpec.parse("mtbf:mtbf=60,mttr=10").build(
+            4, 240.0, seed=11, run_index=run_index
+        )
+        direct = FailureSchedule.mtbf_process(
+            4,
+            240.0,
+            mtbf_min=60.0,
+            mttr_min=10.0,
+            entropy=11,
+            spawn_prefix=(0xFA11, run_index),
+        )
+        assert len(built) > 0
+        assert list(built) == list(direct)
 
 
 class TestServerFailure:

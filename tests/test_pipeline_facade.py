@@ -224,16 +224,19 @@ class TestConsolidatedCli:
             assert blurb in out, f"--help lacks a description for {name}"
 
     def test_shared_sim_flags_identical_across_pipeline_and_serve(self, capsys):
-        """--engine/--shards/--jobs/--observe spell the same on both verbs."""
+        """--engine/--observe spell the same on both verbs; --jobs is
+        pipeline-only (serve runs one simulation per epoch)."""
         helps = {}
         for verb in ("pipeline", "serve"):
             with pytest.raises(SystemExit) as excinfo:
                 repro_main([verb, "--help"])
             assert excinfo.value.code == 0
             helps[verb] = capsys.readouterr().out
-        for flag in ("--engine", "--shards", "--jobs", "--observe"):
+        for flag in ("--engine", "--observe"):
             for verb, text in helps.items():
                 assert flag in text, f"{verb} --help is missing {flag}"
+        assert "--jobs" in helps["pipeline"]
+        assert "--jobs" not in helps["serve"]
         for engine in ("optimized", "vector", "reference", "audited"):
             assert engine in helps["pipeline"] and engine in helps["serve"]
         # --engine's choices and default come from the engine registry.

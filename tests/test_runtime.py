@@ -387,44 +387,6 @@ class TestCacheSchemaVersion:
         assert cache.get(key) is None
 
 
-class TestShardedTrials:
-    def _trials(self, small_setup, **overrides):
-        layout = build_layout(small_setup, PAPER_COMBOS[0], 0.75, 1.2)
-        kwargs = dict(
-            theta=0.75, degree=1.2, arrival_rate_per_min=10.0,
-            seed=1, num_runs=2,
-        )
-        kwargs.update(overrides)
-        return make_trials(small_setup, layout, **kwargs)
-
-    def test_run_major_order_and_distinct_keys(self, small_setup):
-        trials = self._trials(small_setup, num_shards=3)
-        assert [(t.run_index, t.shard_index) for t in trials] == [
-            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
-        ]
-        assert len({trial_cache_key(t) for t in trials}) == 6
-
-    def test_shard_count_changes_config_key(self, small_setup):
-        unsharded = self._trials(small_setup)[0]
-        sharded = self._trials(small_setup, num_shards=2)[0]
-        assert unsharded.config_key != sharded.config_key
-
-    def test_num_shards_validation(self, small_setup):
-        with pytest.raises(ValueError):
-            self._trials(small_setup, num_shards=0)
-
-    def test_shard_zero_trace_matches_plain(self, small_setup):
-        plain = self._trials(small_setup)
-        sharded = self._trials(small_setup, num_shards=2)
-        for run_index in range(2):
-            assert trial_trace(sharded[2 * run_index]) == trial_trace(
-                plain[run_index]
-            )
-            assert trial_trace(sharded[2 * run_index + 1]) != trial_trace(
-                plain[run_index]
-            )
-
-
 class TestTrialSpec:
     def test_resolved_horizon_defaults_to_setup(self, small_setup):
         layout = build_layout(small_setup, PAPER_COMBOS[0], 0.75, 1.2)

@@ -473,6 +473,31 @@ class TestControlPlaneProperties:
         for prev, cur in zip(action_epochs, action_epochs[1:]):
             assert cur - prev > 2
 
+    def test_snapshot_reports_the_size_the_epoch_ran_at(self):
+        # The elastic step resizes the cluster after the epoch simulated;
+        # each snapshot carries the pre-action size.
+        config = make_config(
+            epochs=12,
+            base_rate_per_min=1.0,
+            peak_rate_per_min=20.0,
+            day_epochs=8,
+            elastic=True,
+            breach_epochs=1,
+            relax_epochs=1,
+            cooldown_epochs=1,
+            max_servers=6,
+        )
+        result = ServingControlPlane(config).run()
+        snapshots = result.snapshots
+        assert result.servers_added >= 1 and result.servers_drained >= 1
+        assert snapshots[0].num_servers == SETUP.num_servers
+        for prev, cur in zip(snapshots, snapshots[1:]):
+            assert cur.num_servers == prev.num_servers + prev.elasticity_action
+        last = snapshots[-1]
+        assert result.final_num_servers == (
+            last.num_servers + last.elasticity_action
+        )
+
     def test_added_server_reduces_rejection(self):
         config = make_config(
             epochs=6,

@@ -402,8 +402,6 @@ class TestPipelineScreen:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="anneal"):
             PipelineConfig(surrogate=True, anneal=True)
-        with pytest.raises(ValueError, match="shards"):
-            PipelineConfig(surrogate=True, shards=2)
         with pytest.raises(ValueError, match="screen_top_k"):
             PipelineConfig(surrogate=True, screen_top_k=0)
         with pytest.raises(ValueError, match="screen_candidates"):

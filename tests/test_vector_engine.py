@@ -12,7 +12,7 @@ This module enforces that over
 * every pinned DES case in ``tests/corpus/``,
 
 and additionally checks the ``engine=`` selection surface: the registry,
-``solve(engine=...)``, the trial cache key, and serving-plane shards.
+``solve(engine=...)``, the trial cache key, and the serving plane.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ def _vector_twin(optimized: VoDClusterSimulator) -> VectorClusterSimulator:
         dispatcher_factory=optimized._dispatcher_factory,
         backbone_mbps=optimized._backbone_mbps,
         stream_limits=optimized._stream_limits,
-        redirection_pods=optimized._redirection_pods,
     )
 
 
@@ -273,7 +272,7 @@ class TestEngineThreading:
             keys[engine] = trials[0].config_key
         assert len(set(keys.values())) == 4, keys
 
-    def test_serving_engine_and_shards_snapshots_match(self):
+    def test_serving_engine_snapshots_match(self):
         from repro.serving import ServingConfig, ServingControlPlane
 
         base = dict(
@@ -291,19 +290,12 @@ class TestEngineThreading:
             ServingConfig(**base, engine="vector")
         ).run()
         assert plain.digest() == vector.digest()
-        sharded = ServingControlPlane(
-            ServingConfig(**base, engine="vector", shards=2)
-        ).run()
-        # Shard 0 regenerates the unsharded epoch trace; shard 1 adds its
-        # own stream — total demand roughly doubles at the same logical N.
-        assert sharded.digest() != plain.digest()
 
-    def test_from_pipeline_carries_engine_and_shards(self):
+    def test_from_pipeline_carries_engine_and_dispatcher(self):
         from repro import PipelineConfig
         from repro.serving import ServingConfig
 
-        pipeline = PipelineConfig(engine="vector", shards=2, dispatcher="least_loaded")
+        pipeline = PipelineConfig(engine="vector", dispatcher="least_loaded")
         serving = ServingConfig.from_pipeline(pipeline)
         assert serving.engine == "vector"
-        assert serving.shards == 2
         assert serving.dispatcher == "least_loaded"
