@@ -121,7 +121,10 @@ def _pipeline_parser(subparsers) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the simulation stage (1 = in-process)",
+        help=(
+            "worker processes for the simulation stage (1 = in-process); "
+            "observed simulations (--observe, --trace-out) run in-process"
+        ),
     )
     parser.add_argument(
         "--refine", action="store_true", help="hill-climb the placement"

@@ -38,8 +38,9 @@ from ..model.layout import ReplicaLayout
 from ..model.video import VideoCollection
 from ..workload.requests import RequestTrace
 from .dispatch import StaticRoundRobinDispatcher
+from .log import AuditLog
 from .metrics import SimulationResult
-from .simulator import AuditLog, VoDClusterSimulator
+from .simulator import VoDClusterSimulator
 
 __all__ = ["BatchingResult", "BatchingClusterSimulator"]
 
@@ -171,8 +172,6 @@ class BatchingClusterSimulator:
             per_video_requests=per_video_requests,
             per_video_rejected=per_video_rejected,
             num_truncated=int(times.size) - cut,
-            # The kernel's decision log is bookkeeping, not an audit.
-            engine_path="optimized",
         )
         mean_wait = total_wait / viewers_served if viewers_served else 0.0
         return BatchingResult(

@@ -8,9 +8,9 @@ fields; they differ only in *how* the event loop executes:
     Numpy event-batch execution over the SoA columns
     (:class:`~repro.cluster_sim.vector.VectorClusterSimulator`) — the
     default (:data:`DEFAULT_ENGINE`).  Batched on the paper's base model
-    (static round robin, no chaos, no backbone); everywhere else it hands
-    the run to ``optimized`` and says why in the result's
-    ``handoff_reason``.
+    (static round robin, no chaos, no backbone), audited or observed
+    alike; everywhere else it hands the run to ``optimized`` and says why
+    in the result's ``handoff_reason``.
 ``optimized``
     The tuple-heap event loop (:class:`VoDClusterSimulator`): the
     ``vector`` engine's delegate, and the explicit scalar loop.

@@ -47,9 +47,10 @@ class SimulationResult:
         Provenance of the run, not part of its outcome: the event loop
         that actually executed (``"vector"``, ``"optimized"``,
         ``"reference"`` or ``"audited"``); why the ``vector`` engine
-        handed the run to another loop (``"auditors"``, ``"observer"``,
-        ``"chaos"``, ``"backbone"`` or ``"dispatcher"``; ``None`` when it
-        did not); and, on the ``vector`` path, how many servers took the
+        handed the run to another loop (``"chaos"``, ``"backbone"`` or
+        ``"dispatcher"``; ``None`` when it did not — auditing or observing
+        a run never hands it off); and, on the ``vector`` path, how many
+        servers took the
         exact scalar replay instead of the batched solve.  ``None`` means
         not recorded (e.g. a result-cache hit).  Excluded from
         :meth:`same_outcome`, like ``wall_time_sec``.

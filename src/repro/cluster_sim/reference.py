@@ -54,16 +54,7 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
         check_positive("horizon_min", horizon_min)
         horizon_min = float(horizon_min)
 
-        servers = [
-            StreamingServer(
-                k,
-                spec.bandwidth_mbps,
-                max_streams=(
-                    self._stream_limits[k] if self._stream_limits else None
-                ),
-            )
-            for k, spec in enumerate(self._cluster)
-        ]
+        servers = self._new_servers()
         dispatcher: Dispatcher = self._dispatcher_factory(self._layout)
         backbone = (
             BackboneLink(self._backbone_mbps)

@@ -36,10 +36,11 @@ clarity-first original lives on as
 :class:`~repro.cluster_sim.reference.ReferenceClusterSimulator`; the two
 are bit-identical field for field (see
 ``tests/test_simulator_equivalence.py`` and
-``tests/test_least_loaded_parity.py``).  Audited runs use this same
-loop: ``run(auditors=...)`` arms an :class:`AuditLog` that the loop fills
-behind ``if log is not None`` guards, and :mod:`repro.verify.audit`
-checks the run from that log afterwards.  Wait-queue admission
+``tests/test_least_loaded_parity.py``).  Audited and observed runs use
+this same loop: ``run(auditors=..., observer=...)`` arms an
+:class:`~repro.cluster_sim.log.AuditLog` that the loop fills behind ``if
+log is not None`` guards, and the audit and the observer rebuild the run
+from that log afterwards.  Wait-queue admission
 (:mod:`.queueing`) arms a private :class:`WaitList` the same way; unarmed,
 its only cost is one ``if waiting`` test per applied departure.
 """
@@ -64,6 +65,7 @@ from .dispatch import (
 )
 from .events import EventKind
 from .failures import FailoverPolicy, FailureSchedule, RereplicationPolicy
+from .log import AuditLog
 from .metrics import SimulationResult
 from .redirection import BackboneLink
 from .server import StreamingServer
@@ -83,42 +85,6 @@ _REPLICATE = int(EventKind.REPLICATE)
 _EPS_MBPS = 1e-6
 
 _INF = float("inf")
-
-
-class AuditLog:
-    """What an audited run records in the event loop (internal).
-
-    :mod:`repro.verify.audit` arms it through ``run(auditors=...)`` and
-    rebuilds every occupancy account from it after the run.  Decision
-    codes: 0 = not admitted on arrival (rejected, or left to a failover
-    retry), ``1 + k`` = admitted on server ``k``, ``1 + N + k`` =
-    redirected to server ``k`` over the backbone.
-    """
-
-    __slots__ = (
-        "decisions",
-        "crash_records",
-        "repair_records",
-        "retry_admissions",
-        "last_event_time",
-        "soa",
-        "servers",
-        "backbone",
-    )
-
-    def __init__(self) -> None:
-        #: One code per simulated arrival (bytearray while 2N fits a byte).
-        self.decisions: "bytearray | list[int]" = bytearray()
-        #: (time, server, occupied Mb/s) per crash; (time, server) per repair.
-        self.crash_records: list = []
-        self.repair_records: list = []
-        #: (time, arrival index, server) per failover-retry admission.
-        self.retry_admissions: list = []
-        #: Time of the last event the final horizon drain applied.
-        self.last_event_time = 0.0
-        self.soa: RequestSoA | None = None
-        self.servers: list[StreamingServer] = []
-        self.backbone: BackboneLink | None = None
 
 
 class WaitList:
@@ -259,50 +225,44 @@ class VoDClusterSimulator:
             copy completes.  Ignored without failures.
         auditors:
             Optional list of :class:`repro.verify.InvariantAuditor`
-            checkers.  When non-empty this same loop also fills a private
-            :class:`AuditLog` (one decision code per arrival, the crash,
-            repair and retry-admission records), from which
+            checkers.  When non-empty the run fills a private
+            :class:`~repro.cluster_sim.log.AuditLog`, from which
             :mod:`repro.verify.audit` rebuilds occupancy independently
             after the run; any violation raises
             :class:`repro.verify.InvariantViolation`.  The result is
-            bit-identical to an unaudited run, with ``engine_path``
-            ``"audited"``.  ``None``/empty leaves the log unarmed: one
-            ``is None`` test per admission and per final-drain event.
+            bit-identical to an unaudited run; this kernel reports
+            ``engine_path`` ``"audited"``.
         observer:
             Optional :class:`repro.observe.Observer` (duck-typed).  When
-            set, per-server load/stream timelines are sampled every
-            ``observer.sample_interval_min`` simulated minutes (the event
-            heap is drained to each sample instant first, so snapshots are
-            exact) and, with event tracing enabled, every N-th
-            arrival/departure is recorded.  The returned result is
-            bit-identical to an unobserved run; with ``observer=None`` the
-            hot loop's only additions are two constant-false comparisons
-            per arrival (see the ``observe`` block of
-            ``BENCH_hotpaths.json``).  Combines freely with ``auditors``.
+            it wants samples (``sample_interval_min > 0``) or traced
+            events (``trace_event_every``) the run fills the same log,
+            which ``observer.record_simulation`` parks for a replay on
+            first read.  The event loop records nothing for it: result
+            and ``engine_path`` are those of an unobserved run.
         """
+        observed = observer is not None and (
+            observer.sample_interval_min > 0 or observer.trace_event_every
+        )
+        log = AuditLog() if auditors or observed else None
+        result = self._simulate(
+            trace, horizon_min=horizon_min, failures=failures,
+            failover_on_down=failover_on_down, failover=failover,
+            rereplication=rereplication, log=log,
+        )
         if auditors:
             # Lazy import: cluster_sim must stay importable without the
             # verify package (and vice versa).
-            from ..verify.audit import _run_audited
+            from ..verify.audit import audit_log
 
-            result, report = _run_audited(
-                self,
-                trace,
-                list(auditors),
-                observer,
-                horizon_min=horizon_min,
-                failures=failures,
-                failover_on_down=failover_on_down,
-                failover=failover,
-                rereplication=rereplication,
-            )
+            result, report = audit_log(log, result, list(auditors))
             report.raise_if_failed()
-            return result
-        return self._simulate(
-            trace, horizon_min=horizon_min, failures=failures,
-            failover_on_down=failover_on_down, failover=failover,
-            rereplication=rereplication, observer=observer,
-        )
+        if observer is not None:
+            observer.record_simulation(
+                log=log,
+                result=result,
+                server_bandwidth_mbps=self._cluster.bandwidth_mbps.tolist(),
+            )
+        return result
 
     def _simulate(
         self,
@@ -313,7 +273,6 @@ class VoDClusterSimulator:
         failover_on_down: bool = False,
         failover: FailoverPolicy | None = None,
         rereplication: RereplicationPolicy | None = None,
-        observer=None,
         log: "AuditLog | None" = None,
         wait_list: "WaitList | None" = None,
     ) -> SimulationResult:
@@ -324,16 +283,7 @@ class VoDClusterSimulator:
         check_positive("horizon_min", horizon_min)
         horizon_min = float(horizon_min)
 
-        servers = [
-            StreamingServer(
-                k,
-                spec.bandwidth_mbps,
-                max_streams=(
-                    self._stream_limits[k] if self._stream_limits else None
-                ),
-            )
-            for k, spec in enumerate(self._cluster)
-        ]
+        servers = self._new_servers()
         dispatcher: Dispatcher = self._dispatcher_factory(self._layout)
         # The paper's single shared backbone (None: redirection off).
         backbone = (
@@ -514,6 +464,8 @@ class VoDClusterSimulator:
                 # Retry budget (or horizon) exhausted: a timeout is a
                 # rejection.
                 per_video_rejected[video] += 1
+                if log is not None:
+                    log.retry_rejections.append((tr, index))
                 if failure_touched(video):
                     num_lost_to_failure += 1
             elif kind == _DEFECTION:
@@ -561,100 +513,11 @@ class VoDClusterSimulator:
         holders_of = self._layout.holder_table.holders
         eps = _EPS_MBPS
 
-        # Observation locals.  With observer=None (the default) both hot
-        # guards degenerate to constant-false comparisons: ``t >=
-        # next_sample`` with next_sample=inf and ``if trace_every`` with
-        # trace_every=0 — the disabled-path budget gated by the
-        # ``observe`` block of BENCH_hotpaths.json.
-        next_sample = _INF
-        trace_every = 0
-        if observer is not None:
-            interval = float(observer.sample_interval_min)
-            if interval > 0.0:
-                next_sample = interval
-            trace_every = int(observer.trace_event_every)
-            samples: list = []
-            traced: list = []
-            trace_arr_down = trace_dep_down = trace_every
-
-            def _drain_events(limit: float) -> None:
-                """Apply heap events at or before *limit* (sampling path).
-
-                Semantics match the inlined drain of the arrival loop, so a
-                sample snapshot is exact at its instant and the global
-                event order is unchanged: events <= limit <= t are applied
-                either way before the next arrival is admitted.  The
-                departure branch mirrors the hot loop's inlined release —
-                with periodic sampling most departures flow through here,
-                so a method-call release would dominate the metrics-on
-                overhead budget.
-                """
-                nonlocal events_processed, trace_dep_down
-                while heap and heap[0][0] <= limit:
-                    event = heappop(heap)
-                    events_processed += 1
-                    if event[1] == _DEPARTURE:
-                        dep_server, dep_rate, dep_redirected, dep_epoch = event[3]
-                        server = servers[dep_server]
-                        if server.epoch != dep_epoch:
-                            continue
-                        etime = event[0]
-                        last = server._last_time_min
-                        if etime > last:
-                            server._load_integral += server.used_mbps * (
-                                etime - last
-                            )
-                            server._last_time_min = etime
-                        used = server.used_mbps - dep_rate
-                        if used < 0.0:
-                            if used < -eps:
-                                raise RuntimeError(
-                                    f"server {dep_server} bandwidth "
-                                    "accounting went negative"
-                                )
-                            used = 0.0
-                        server.used_mbps = used
-                        server.active_streams -= 1
-                        if dep_redirected:
-                            backbone.release(dep_rate)
-                            backbone_by_server[dep_server] -= dep_rate
-                        if waiting:
-                            serve_waiters(etime)
-                        if trace_every:
-                            trace_dep_down -= 1
-                            if not trace_dep_down:
-                                trace_dep_down = trace_every
-                                traced.append(("departure", etime, dep_server))
-                    else:
-                        handle_rare(event)
-
-            def _record_sample(at: float, arrivals_done: int) -> None:
-                samples.append(
-                    (
-                        at,
-                        [s.used_mbps for s in servers],
-                        [s.active_streams for s in servers],
-                        arrivals_done,
-                        sum(per_video_rejected),
-                        backbone.redirected_streams
-                        if backbone is not None
-                        else 0,
-                        backbone.used_mbps if backbone is not None else 0.0,
-                    )
-                )
-
         # Arrivals past the horizon were pre-truncated by the SoA cut (an
         # arrival at exactly ``horizon_min`` is still simulated), so the
         # loop carries no per-arrival horizon branch.
         for index in range(num_simulated):
             t = times_list[index]
-            if t >= next_sample:
-                # Observation sampling (never taken when disabled): drain
-                # events up to each boundary, snapshot, advance.
-                while next_sample <= t:
-                    _drain_events(next_sample)
-                    _record_sample(next_sample, index)
-                    next_sample += interval
             video = videos_list[index]
 
             # Apply departures/failures/recoveries at or before t.  The
@@ -688,11 +551,6 @@ class VoDClusterSimulator:
                         backbone_by_server[server_id] -= rate
                     if waiting:
                         serve_waiters(etime)
-                    if trace_every:
-                        trace_dep_down -= 1
-                        if not trace_dep_down:
-                            trace_dep_down = trace_every
-                            traced.append(("departure", etime, server_id))
                 else:
                     handle_rare(event)
 
@@ -701,11 +559,6 @@ class VoDClusterSimulator:
             if best_rates[video] <= 0.0:
                 # Video has no replica anywhere: nothing can serve it.
                 per_video_rejected[video] += 1
-                if trace_every:
-                    trace_arr_down -= 1
-                    if not trace_arr_down:
-                        trace_arr_down = trace_every
-                        traced.append(("arrival", t, video, False))
                 continue
             end_time = t + hold_list[index]
 
@@ -878,20 +731,6 @@ class VoDClusterSimulator:
                     per_video_rejected[video] += 1
                     if chaos and failure_touched(video):
                         num_lost_to_failure += 1
-            if trace_every:
-                trace_arr_down -= 1
-                if not trace_arr_down:
-                    trace_arr_down = trace_every
-                    traced.append(("arrival", t, video, admitted))
-
-        # Close out the observation timeline up to the horizon (sampling
-        # drains preserve event order; the loop below sees the remainder).
-        if next_sample <= horizon_min:
-            arrivals_done = num_simulated
-            while next_sample <= horizon_min:
-                _drain_events(next_sample)
-                _record_sample(next_sample, arrivals_done)
-                next_sample += interval
 
         # Apply remaining events inside the horizon, close the integrals.
         while heap and heap[0][0] <= horizon_min:
@@ -910,11 +749,6 @@ class VoDClusterSimulator:
                     backbone_by_server[server_id] -= rate
                 if waiting:
                     serve_waiters(event[0])
-                if trace_every:
-                    trace_dep_down -= 1
-                    if not trace_dep_down:
-                        trace_dep_down = trace_every
-                        traced.append(("departure", event[0], server_id))
             else:
                 handle_rare(event)
         # Requests still waiting at the horizon count as defected.
@@ -955,17 +789,26 @@ class VoDClusterSimulator:
             ),
             server_downtime_min=np.asarray(downtime),
             wall_time_sec=time.perf_counter() - start_wall,
-            engine_path="optimized" if log is None else "audited",
+            engine_path="optimized",
         )
         if log is not None:
-            log.soa = soa
-            log.servers = servers
-            log.backbone = backbone
-        if observer is not None:
-            observer.record_simulation(
-                samples=samples,
-                traced_events=traced,
-                result=result,
-                server_bandwidth_mbps=self._cluster.bandwidth_mbps.tolist(),
-            )
+            self._close_log(log, soa, servers, backbone)
         return result
+
+    def _new_servers(self) -> list[StreamingServer]:
+        """Idle servers for one run."""
+        limits = self._stream_limits
+        return [
+            StreamingServer(
+                k, spec.bandwidth_mbps, max_streams=limits[k] if limits else None
+            )
+            for k, spec in enumerate(self._cluster)
+        ]
+
+    def _close_log(self, log: AuditLog, soa, servers, backbone) -> None:
+        """Hand a filled log the run's columns, end state and rates."""
+        log.soa = soa
+        log.servers = servers
+        log.backbone = backbone
+        log.rate_matrix = self._rate_matrix
+        log.best_rates = self._best_rates

@@ -44,10 +44,16 @@ timeline can be replayed independently as array operations:
 
 Configurations outside the decomposition (dynamic dispatchers couple
 servers through load inspection, chaos mutates replica state, the
-backbone scans every server, observers sample mid-run) delegate to the
-optimized loop, keeping lockstep equivalence trivial there by
-construction.  ``tests/test_vector_engine.py`` enforces equivalence over
-randomized crossings and the full pinned fuzz corpus.
+backbone scans every server) delegate to the optimized loop, keeping
+lockstep equivalence trivial there by construction.
+``tests/test_vector_engine.py`` enforces equivalence over randomized
+crossings and the full pinned fuzz corpus.
+
+Auditing and observing a run do not change the path it takes: the batched
+path fills the same private :class:`~repro.cluster_sim.log.AuditLog` the
+kernel does (decision codes, request columns, end-state servers), and
+:mod:`repro.verify.audit` and the observer's replay rebuild the run from
+that log afterwards.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,66 +99,41 @@ def _occurrence_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-class _ServerOutcome:
+class _ServerOutcome(NamedTuple):
     """Per-server replay result (admissions plus closed-out metrics)."""
 
-    __slots__ = ("admitted", "served", "peak", "integral", "deps_processed")
-
-    def __init__(self, admitted, served, peak, integral, deps_processed):
-        self.admitted = admitted
-        self.served = served
-        self.peak = peak
-        self.integral = integral
-        self.deps_processed = deps_processed
+    admitted: np.ndarray
+    served: int
+    peak: float
+    integral: float
+    deps_processed: int
+    used: float  # occupancy at the horizon
 
 
 class VectorClusterSimulator(VoDClusterSimulator):
     """Batch-vectorized simulator; same constructor, same results."""
 
-    def run(
-        self,
-        trace,
-        *,
-        horizon_min=None,
-        failures=None,
-        failover_on_down=False,
-        failover=None,
-        rereplication=None,
-        auditors=None,
-        observer=None,
-    ) -> SimulationResult:
+    def _simulate(self, trace, *, horizon_min=None, failures=None, log=None,
+                  **kwargs) -> SimulationResult:
         """Simulate one trace; batched when the config decomposes.
 
-        The batched path engages for the paper's base model — static
-        round robin, no failure schedule, no backbone — which is the
-        throughput-critical configuration.  Everything else (dynamic
-        dispatchers, chaos, redirection, observation, auditing) runs the
-        optimized event loop, so results are lockstep-identical across
-        the whole configuration space either way; the result's
-        ``handoff_reason`` names the first condition that forced the
-        hand-off.
+        The batched path serves the paper's base model (static round
+        robin, no failure schedule, no backbone), filling *log* when it
+        is armed; everything else runs the kernel's event loop, and the
+        result's ``handoff_reason`` names the first condition that
+        forced the hand-off.
         """
-        reason = self._handoff_reason(auditors, observer, failures)
+        reason = self._handoff_reason(failures)
         if reason is None:
-            return self._run_batched(trace, horizon_min)
-        result = super().run(
-            trace,
-            horizon_min=horizon_min,
-            failures=failures,
-            failover_on_down=failover_on_down,
-            failover=failover,
-            rereplication=rereplication,
-            auditors=auditors,
-            observer=observer,
+            return self._run_batched(trace, horizon_min, log)
+        result = super()._simulate(
+            trace, horizon_min=horizon_min, failures=failures, log=log,
+            **kwargs,
         )
         return replace(result, handoff_reason=reason)
 
-    def _handoff_reason(self, auditors, observer, failures) -> str | None:
+    def _handoff_reason(self, failures) -> str | None:
         """Why this run cannot take the batched path (``None``: it can)."""
-        if auditors:
-            return "auditors"
-        if observer is not None:
-            return "observer"
         if failures is not None and len(failures) > 0:
             return "chaos"
         if self._backbone_mbps > 0:
@@ -161,7 +143,7 @@ class VectorClusterSimulator(VoDClusterSimulator):
         return None
 
     # ------------------------------------------------------------------
-    def _run_batched(self, trace, horizon_min) -> SimulationResult:
+    def _run_batched(self, trace, horizon_min, log) -> SimulationResult:
         start_wall = time.perf_counter()
         if horizon_min is None:
             horizon_min = trace.duration_min if trace.num_requests else 1.0
@@ -201,9 +183,8 @@ class VectorClusterSimulator(VoDClusterSimulator):
             rates = np.zeros(0)
 
         admitted_sub = np.zeros(vs.size, dtype=bool)
-        server_peak = np.zeros(num_servers)
-        server_integral = np.zeros(num_servers)
-        server_served = np.zeros(num_servers, dtype=np.int64)
+        servers = self._new_servers()
+        integral = np.zeros(num_servers)
         deps_processed = 0
         fallbacks = 0
 
@@ -229,9 +210,12 @@ class VectorClusterSimulator(VoDClusterSimulator):
                         horizon_min,
                     )
                 admitted_sub[sel] = outcome.admitted
-                server_served[k] = outcome.served
-                server_peak[k] = outcome.peak
-                server_integral[k] = outcome.integral
+                server = servers[k]
+                server.served_requests = outcome.served
+                server.peak_load_mbps = outcome.peak
+                server.used_mbps = outcome.used
+                server.active_streams = outcome.served - outcome.deps_processed
+                integral[k] = outcome.integral
                 deps_processed += outcome.deps_processed
 
         rejected = np.ones(n, dtype=bool)
@@ -241,14 +225,23 @@ class VectorClusterSimulator(VoDClusterSimulator):
             videos[rejected], minlength=num_videos
         ).astype(np.int64, copy=False)
 
+        if log is not None:
+            log.decisions = np.zeros(n, dtype=np.intp)
+            log.decisions[serveable_idx[admitted_sub]] = 1 + sid[admitted_sub]
+            # The final drain's last event: the latest departure inside
+            # the horizon after the last arrival (0.0 when there is none).
+            drained = ends[admitted_sub]
+            drained = drained[(drained <= horizon_min) & (drained > times[-1:])]
+            log.last_event_time = float(drained.max()) if drained.size else 0.0
+            self._close_log(log, soa, servers, None)
         return SimulationResult(
             num_requests=int(n),
             num_rejected=int(rejected.sum()),
             per_video_requests=per_video_requests,
             per_video_rejected=per_video_rejected,
-            server_time_avg_load_mbps=server_integral / horizon_min,
-            server_peak_load_mbps=server_peak,
-            server_served=server_served,
+            server_time_avg_load_mbps=integral / horizon_min,
+            server_peak_load_mbps=np.array([s.peak_load_mbps for s in servers]),
+            server_served=np.array([s.served_requests for s in servers]),
             server_bandwidth_mbps=bandwidth,
             horizon_min=horizon_min,
             num_redirected=0,
@@ -404,6 +397,7 @@ class VectorClusterSimulator(VoDClusterSimulator):
             peak,
             integral,
             int(dep_f.sum()),
+            used_end,
         )
 
     # ------------------------------------------------------------------
@@ -472,4 +466,4 @@ class VectorClusterSimulator(VoDClusterSimulator):
             streams -= 1
         if horizon > last:
             integral += used * (horizon - last)
-        return _ServerOutcome(admitted, served, peak, integral, deps)
+        return _ServerOutcome(admitted, served, peak, integral, deps, used)

@@ -13,8 +13,9 @@ Three zero-dependency building blocks behind one facade:
 :class:`Observer` bundles all three and is what the instrumented
 subsystems accept through their optional ``observer=`` parameter
 (simulator runs, annealing runs, dynamic-replication epochs, the parallel
-runner).  With ``observer=None`` (the default) every instrumented hot
-path is unchanged within the ``BENCH_hotpaths.json`` ``observe`` gates.
+runner).  The simulator records nothing for an observer in its event
+loop: an observed run fills its private run log, and the observer
+rebuilds samples and traced events from it afterwards.
 
 Quick start::
 

@@ -4,9 +4,10 @@ One :class:`Observer` bundles a :class:`MetricsRegistry`, a
 :class:`Tracer` and a phase profiler behind the typed hooks each subsystem
 calls through its optional ``observer=`` parameter:
 
-* ``VoDClusterSimulator.run(..., observer=obs)`` — per-server load/stream
-  timelines sampled every ``sample_interval_min`` simulated minutes,
-  sampled arrival/departure trace events, counter/gauge rollups;
+* ``VoDClusterSimulator.run(..., observer=obs)`` (every engine but the
+  reference oracle) — per-server load/stream timelines sampled every
+  ``sample_interval_min`` simulated minutes, sampled arrival/departure
+  trace events, counter/gauge rollups, all rebuilt from the run's log;
 * ``SimulatedAnnealer.run(..., observer=obs)`` — per-temperature-level
   acceptance traces and step counters;
 * ``DynamicReplicationController(..., observer=obs)`` — per-epoch
@@ -20,12 +21,13 @@ duck-typed — so :mod:`repro.cluster_sim`, :mod:`repro.annealing` and
 and the ``observer=None`` default keeps their hot paths untouched.
 
 Simulation folds are *deferred*: :meth:`Observer.record_simulation` only
-parks the run's raw sample buffers, and the numpy aggregation into
-histograms/time series runs once on first read (any access to
-:attr:`Observer.registry` or :attr:`Observer.tracer` flushes).  Recording
-stays off the simulator's critical path — the metrics-on budget in
-``BENCH_hotpaths.json`` gates the recording cost; the fold cost is
-reported separately as ``fold_wall_sec``.
+parks the run's log, and the replay of that log into samples and traced
+events plus the numpy aggregation into histograms/time series run once
+on first read (any access to :attr:`Observer.registry` or
+:attr:`Observer.tracer` flushes).  The simulator records nothing for the
+observer in its event loop; the metrics-on budget in
+``BENCH_hotpaths.json`` gates the cost of arming the log, and the replay
+and fold are reported separately as ``fold_wall_sec``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,104 @@ _UTILIZATION_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
 
 #: JSONL schema version written by :meth:`Observer.export_jsonl`.
 _TRACE_SCHEMA = 1
+
+
+def _replay(log, horizon_min: float, observer: "Observer"):
+    """``(samples, traced_events)`` of one logged run, as *observer* wants.
+
+    Accounts are folded in the kernel's order with its arithmetic
+    (:mod:`repro.cluster_sim.log`): sampled loads are its float sums.
+    """
+    from ..cluster_sim.log import (
+        ARRIVAL_KEY,
+        CRASH,
+        DEPART,
+        RunEvents,
+        admission_table,
+        fold,
+        server_folds,
+    )
+
+    if log is None:
+        return [], []
+    interval = observer.sample_interval_min
+    every = observer.trace_event_every
+    soa = log.soa
+    times = soa.times[: soa.num_simulated]
+    decisions = np.asarray(log.decisions)
+    table = admission_table(log)
+    events = RunEvents(log, table, horizon_min)
+    samples: list = []
+    if interval > 0:
+        bounds = []
+        s = interval
+        while s <= horizon_min:
+            bounds.append(s)
+            s += interval
+        at = np.asarray(bounds, dtype=float)
+
+        def sampled(mine, run, empty):
+            """The account just before each sample: after the heap events
+            at or before it and the arrivals strictly before it."""
+            time, key = events.time[mine], events.key[mine]
+            left = np.searchsorted(time, at, side="left")
+            right = np.searchsorted(time, at, side="right")
+            heap = np.concatenate(([0], np.cumsum(key < ARRIVAL_KEY)))
+            return np.concatenate(([empty], run))[left + heap[right] - heap[left]]
+
+        folds = server_folds(events)
+        used = np.column_stack([sampled(m, run, 0.0) for m, run, _ in folds])
+        streams = np.column_stack([sampled(m, n, 0) for m, _, n in folds])
+        # Rejected on arrival (strictly before s), or by a RETRY event at
+        # or before s; a retried arrival is decided by its retry.
+        turned_away = decisions == 0
+        for retry in log.retry_admissions + log.retry_rejections:
+            turned_away[retry[1]] = False
+        rejected = np.searchsorted(times[turned_away], at, side="left")
+        rejected += np.searchsorted(
+            [r[0] for r in log.retry_rejections], at, side="right"
+        )
+        redirected = np.zeros(len(at), dtype=int)
+        backbone = np.zeros(len(at))
+        if log.backbone is not None:
+            redirected = np.searchsorted(table.t0[table.red], at, side="left")
+            on = np.append(table.red, False)[events.row] | (events.kind == CRASH)
+            on = np.flatnonzero(on)
+            on = on[np.lexsort((events.key[on], events.time[on]))]
+            backbone = sampled(on, fold(events, on, backbone=True)[0], 0.0)
+        samples = list(zip(
+            bounds, used.tolist(), streams.tolist(),
+            np.searchsorted(times, at, side="left").tolist(),
+            rejected.tolist(), redirected.tolist(), backbone.tolist(),
+        ))
+
+    traced: list = []
+    if every:
+        # Every k-th arrival and every k-th departure in the kernel's
+        # order, merged back into that order.
+        arrivals = np.arange(every - 1, len(times), every)
+        departs = np.flatnonzero(events.kind == DEPART)
+        departs = departs[np.lexsort((events.key[departs], events.time[departs]))]
+        departs = departs[every - 1::every]
+        merged = np.lexsort((
+            np.concatenate((ARRIVAL_KEY + 2 * arrivals, events.key[departs])),
+            np.concatenate((times[arrivals], events.time[departs])),
+        ))
+        picked = [
+            ("arrival", t, video, admitted)
+            for t, video, admitted in zip(
+                times[arrivals].tolist(),
+                soa.videos[arrivals].tolist(),
+                (decisions[arrivals] != 0).tolist(),
+            )
+        ] + [
+            ("departure", t, server)
+            for t, server in zip(
+                events.time[departs].tolist(), events.server[departs].tolist()
+            )
+        ]
+        traced = [picked[j] for j in merged.tolist()]
+    return samples, traced
 
 
 @dataclass(frozen=True)
@@ -121,11 +221,14 @@ class Observer:
 
     def _flush_pending(self) -> None:
         pending, self._pending_sims = self._pending_sims, []
-        for payload in pending:
-            self._fold_simulation(*payload)
+        for run, log, result, server_bandwidth_mbps in pending:
+            samples, traced = _replay(log, result.horizon_min, self)
+            self._fold_simulation(
+                run, samples, traced, result, server_bandwidth_mbps
+            )
 
     # ------------------------------------------------------------------
-    # Hot-path configuration reads (the simulator hoists these into locals)
+    # Configuration reads (the simulator arms its log on these)
     # ------------------------------------------------------------------
     @property
     def sample_interval_min(self) -> float:
@@ -139,28 +242,18 @@ class Observer:
     # ------------------------------------------------------------------
     # Simulator hook
     # ------------------------------------------------------------------
-    def record_simulation(
-        self,
-        *,
-        samples: list,
-        traced_events: list,
-        result,
-        server_bandwidth_mbps,
-    ) -> None:
+    def record_simulation(self, *, log, result, server_bandwidth_mbps) -> None:
         """Park one finished simulator run for deferred folding.
 
-        ``samples`` rows are ``(t, used_mbps_list, active_streams_list,
-        num_requests, num_rejected, num_redirected, backbone_mbps)``
-        accumulated at sample boundaries; ``traced_events`` are the
-        sampled ``("arrival", t, video, admitted)`` /
-        ``("departure", t, server)`` tuples.  All inputs are per-run
-        snapshots the simulator never touches again, so nothing is copied
-        here — the numpy fold (:meth:`_fold_simulation`) runs on first
-        read of :attr:`registry`/:attr:`tracer`, keeping this call O(1)
-        on the simulator's critical path.
+        ``log`` is the run's filled :class:`~repro.cluster_sim.log.AuditLog`
+        (``None``: no samples or events wanted).  First read replays it
+        into sample rows ``(t, used_mbps_list, active_streams_list,
+        num_requests, num_rejected, num_redirected, backbone_mbps)`` and
+        ``("arrival", t, video, admitted)`` / ``("departure", t, server)``
+        tuples for :meth:`_fold_simulation`.
         """
         self._pending_sims.append(
-            (self._sim_runs, samples, traced_events, result, server_bandwidth_mbps)
+            (self._sim_runs, log, result, server_bandwidth_mbps)
         )
         self._sim_runs += 1
 

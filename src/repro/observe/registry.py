@@ -99,8 +99,7 @@ class Histogram:
         """Fold a batch of values in one call (one bisect per value).
 
         Equivalent to calling :meth:`observe` per value but with the
-        bookkeeping hoisted; :meth:`Observer.record_simulation` folds one
-        batch per sample instant, so this is the per-run fast path.
+        bookkeeping hoisted.
         """
         counts = self.counts
         bounds = self.bounds
@@ -129,8 +128,8 @@ class Histogram:
         ``bucket_counts`` must have one entry per bucket (overflow last),
         bucketed with bisect-left semantics over :attr:`bounds`;
         ``n``/``total``/``lo``/``hi`` summarize the same observations.
-        :meth:`Observer.record_simulation` buckets a whole run's samples
-        with numpy and folds them here in one call.
+        The observer's deferred fold buckets a whole run's samples with
+        numpy and folds them here in one call.
         """
         counts = self.counts
         if len(bucket_counts) != len(counts):

@@ -30,6 +30,7 @@ simulator events; observed runs are bit-identical to unobserved ones.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ from .placement import (
     SmallestLoadFirstPlacer,
     refine_placement,
 )
-from .runtime import ParallelRunner, make_trials, use_runner
+from .runtime import ParallelRunner, make_trials, run_trial, use_runner
 from .replication import REPLICATOR_REGISTRY
 
 __all__ = ["PipelineConfig", "PipelineResult", "SurrogateScreen", "solve"]
@@ -474,7 +475,7 @@ def solve(
         Optional :class:`repro.runtime.ParallelRunner` to simulate
         through; a fresh serial runner is used otherwise.  Ignored for the
         simulation stage when ``observer`` is set (see above), but still
-        accumulates the run report.
+        accumulates the run report, which then reports ``jobs=1``.
     layout:
         Optional pre-built :class:`repro.model.layout.ReplicaLayout` to
         simulate directly, skipping the replicate/place/refine design
@@ -541,46 +542,22 @@ def solve(
             engine=config.engine,
         )
         if observer is not None:
-            # Serial in-process simulation so the observer sees every run;
-            # same trace regeneration and simulator as the pooled path.
-            from .cluster_sim import (
-                engine_run_kwargs,
-                make_dispatcher_factory,
-                make_simulator,
-            )
-            from .runtime.trial import trial_run_kwargs, trial_trace
-
+            # Serial in-process simulation so the observer sees every run:
+            # the run_trial a pool worker executes, with the observer.
             if config.engine == "reference":
                 raise ValueError(
                     "observer= requires an engine with observation support; "
                     "the reference oracle loop has none (use optimized, "
                     "vector or audited)"
                 )
-            simulator = make_simulator(
-                config.engine,
-                setup.cluster(config.replication_degree),
-                setup.videos(),
-                layout,
-                dispatcher_factory=make_dispatcher_factory(config.dispatcher),
-                backbone_mbps=config.backbone_mbps,
-            )
-            import time
-
             start = time.perf_counter()
             with timed(sink, "simulate"):
-                results = [
-                    simulator.run(
-                        trial_trace(spec),
-                        horizon_min=spec.resolved_horizon_min(),
-                        observer=observer,
-                        **trial_run_kwargs(spec),
-                        **engine_run_kwargs(config.engine),
-                    )
-                    for spec in trials
-                ]
+                results = [run_trial(spec, observer=observer) for spec in trials]
             for result in results:
                 report.record_simulated(result)
             report.record_batch(time.perf_counter() - start)
+            # The report names the workers the simulations ran on.
+            report.jobs = 1
         else:
             results = runner.run_trials(trials)
 

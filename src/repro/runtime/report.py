@@ -210,6 +210,23 @@ class RunReport:
         )
 
     # ------------------------------------------------------------------
+    def engine_line(self) -> str:
+        """Which loops ran, why any run was handed off, vector fallbacks."""
+        line = "  engine " + ", ".join(
+            f"{path} {runs}" for path, runs in self.engine_paths.items()
+        ) + " runs"
+        if self.handoff_reasons:
+            line += " (handoff: " + ", ".join(
+                f"{reason} {runs}"
+                for reason, runs in self.handoff_reasons.items()
+            ) + ")"
+        if self.num_vector_servers:
+            line += (
+                f"  vector fallbacks {self.num_vector_fallbacks}/"
+                f"{self.num_vector_servers} servers"
+            )
+        return line
+
     def format(self) -> str:
         """Render the structured run report (see module docstring)."""
         lines = [
@@ -234,20 +251,7 @@ class RunReport:
             f"{_si(per_worker)} events/s per worker"
         )
         if self.engine_paths:
-            line = "  engine " + ", ".join(
-                f"{path} {runs}" for path, runs in self.engine_paths.items()
-            ) + " runs"
-            if self.handoff_reasons:
-                line += " (handoff: " + ", ".join(
-                    f"{reason} {runs}"
-                    for reason, runs in self.handoff_reasons.items()
-                ) + ")"
-            if self.num_vector_servers:
-                line += (
-                    f"  vector fallbacks {self.num_vector_fallbacks}/"
-                    f"{self.num_vector_servers} servers"
-                )
-            lines.append(line)
+            lines.append(self.engine_line())
         if self.num_sa_runs:
             lines.append(
                 f"  annealing {self.num_sa_runs} chains  "

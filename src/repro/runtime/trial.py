@@ -229,12 +229,11 @@ def trial_run_kwargs(spec: TrialSpec) -> dict:
     }
 
 
-def run_trial(spec: TrialSpec) -> SimulationResult:
+def run_trial(spec: TrialSpec, observer=None) -> SimulationResult:
     """Simulate one trial (the function a pool worker executes)."""
-    simulator = _simulator_for(spec)
-    return simulator.run(
-        trial_trace(spec),
-        horizon_min=spec.resolved_horizon_min(),
-        **trial_run_kwargs(spec),
-        **engine_run_kwargs(spec.engine),
+    kwargs = {**trial_run_kwargs(spec), **engine_run_kwargs(spec.engine)}
+    if observer is not None:
+        kwargs["observer"] = observer
+    return _simulator_for(spec).run(
+        trial_trace(spec), horizon_min=spec.resolved_horizon_min(), **kwargs
     )

@@ -210,7 +210,7 @@ class ServingResult:
         return h.hexdigest()
 
     def format(self) -> str:
-        """The epoch timeline as an aligned ASCII table."""
+        """The epoch timeline as an aligned ASCII table, totals and engine."""
         from ..analysis.tables import format_table
 
         rows = []
@@ -252,6 +252,14 @@ class ServingResult:
             f"{self.slo_breaches} SLO breaches, "
             f"final N={self.final_num_servers}"
         )
+        from ..runtime.report import RunReport
+
+        # Provenance of the epochs' simulations, as ``pipeline`` prints it.
+        report = RunReport()
+        for snapshot in self.snapshots:
+            report.record_simulated(snapshot.result)
+        if report.engine_paths:
+            totals += "\n" + report.engine_line()
         return table + "\n" + totals
 
     def __str__(self) -> str:

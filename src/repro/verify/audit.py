@@ -1,11 +1,12 @@
-"""Audited runs: the optimized event loop plus an independent rebuild.
+"""Audited runs: one engine run plus an independent rebuild.
 
-:func:`run_audited` runs :meth:`VoDClusterSimulator.run`'s own event loop
-with a private :class:`~repro.cluster_sim.simulator.AuditLog` armed — the
-result is that loop's result, bit-identical to an unaudited run — and then
-reconstructs, from the log and the trace's numpy columns alone, every
-server's occupancy trajectory, load integral, backbone occupancy and the
-admission/departure/drop conservation tallies, which the auditors check.
+:func:`run_audited` runs an engine with a private
+:class:`~repro.cluster_sim.log.AuditLog` armed — the kernel's event loop
+or the ``vector`` engine's batched path; the result is bit-identical to an
+unaudited run — and :func:`audit_log` then reconstructs, from the log and
+the trace's numpy columns alone, every server's occupancy trajectory, load
+integral, backbone occupancy and the admission/departure/drop
+conservation tallies, which the auditors check.
 
 Design notes
 ------------
@@ -17,30 +18,34 @@ Design notes
   one ``is None`` test per admission and per final-drain event.
 * Monotonicity is audited where a past-dated event could be *introduced*
   (arrival ordering and hold signs, vectorized over the full trace).
-* Everything else is *reconstructed* vectorized after the run: admission
-  times, hold times and rates come from the trace columns and the
-  layout's rate matrix, crashes (rare) are replayed over the admission
-  table, and every server's peak occupancy comes from one fused
-  sort/scan.  The reconstruction is independent of ``StreamingServer``'s
-  bookkeeping, so a broken ``release`` or ``fail`` in the loop shows up
-  as a disagreement (``tests/test_verify_auditors.py``'s mutation tests),
-  and it is what keeps the enabled overhead within the <10% budget
-  measured by ``benchmarks/bench_hotpaths.py``.
+* Everything else is *reconstructed* after the run from the log and the
+  trace columns (:mod:`repro.cluster_sim.log`, shared with the observer):
+  admission times, holds and rates come from the trace and the layout,
+  crashes (rare) are replayed over the admission table, and each server's
+  occupancy is its events folded in the kernel's order.  The rebuild is
+  independent of ``StreamingServer``'s bookkeeping, so a broken
+  ``release`` or ``fail`` in the loop shows up as a disagreement
+  (``tests/test_verify_auditors.py``'s mutation tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..cluster_sim.log import (
+    CRASH,
+    AuditLog,
+    RunEvents,
+    admission_table,
+    fold,
+    server_folds,
+)
 from ..cluster_sim.metrics import SimulationResult
-from ..cluster_sim.redirection import BackboneLink
-from ..cluster_sim.server import StreamingServer
-from ..cluster_sim.simulator import AuditLog
 from .auditors import InvariantAuditor, Violation, standard_auditors
 
-__all__ = ["Trajectory", "AuditReport", "run_audited"]
+__all__ = ["Trajectory", "AuditReport", "audit_log", "run_audited"]
 
 _EPS_MBPS = 1e-6
 
@@ -55,7 +60,6 @@ class Trajectory:
         "rejected",
         "departed",
         "dropped",
-        "stale",
         "active_end",
         "redirected",
         "events_audited",
@@ -80,7 +84,6 @@ class Trajectory:
         self.rejected = 0
         self.departed = 0
         self.dropped = 0
-        self.stale = 0
         self.active_end = 0
         self.redirected = 0
         self.events_audited = 0
@@ -139,33 +142,18 @@ class AuditReport:
         )
 
 
-def _peak_time(
-    starts: np.ndarray, ends: np.ndarray, deltas: np.ndarray
-) -> tuple[float, float]:
-    """Slow-path detailed sweep for one server: (peak, time of peak)."""
-    times = np.concatenate((starts, ends))
-    signed = np.concatenate((deltas, -deltas))
-    order = np.lexsort((signed, times))
-    running = np.cumsum(signed[order])
-    at = int(np.argmax(running))
-    return float(running[at]), float(times[order][at])
-
-
 def _reconstruct(
     audit: Trajectory,
     violations: list[Violation],
-    t0: np.ndarray,
-    te: np.ndarray,
-    sid: np.ndarray,
-    rate: np.ndarray,
-    red: np.ndarray,
-    vid: np.ndarray,
-    crash_records: list,
-    servers: list[StreamingServer],
-    backbone: "BackboneLink | None",
+    log: AuditLog,
+    table,
     enabled: frozenset,
 ) -> None:
     """Rebuild every shadow account from the admission/crash tables."""
+    t0, te, sid, rate, red, vid = table[:6]
+    crash_records = log.crash_records
+    servers = log.servers
+    backbone = log.backbone
     num_servers = len(servers)
     H = audit.horizon_min
 
@@ -198,7 +186,6 @@ def _reconstruct(
         alive_end = ~dropped & (te > H)
         audit.departed = int((~dropped & (te <= H)).sum())
         audit.dropped = int(dropped.sum())
-        audit.stale = int((dropped & (te <= H)).sum())
     else:
         eff = te
         alive_end = te > H
@@ -207,12 +194,6 @@ def _reconstruct(
     if not crash_records:
         audit.departed = audit.admitted - audit.active_end
     audit.redirected = int(red.sum())
-    audit.shadow_used = np.bincount(
-        sid, weights=rate * alive_end, minlength=num_servers
-    ).tolist()
-    audit.shadow_streams = (
-        np.bincount(sid[alive_end], minlength=num_servers).astype(int).tolist()
-    )
     audit.load_integral = np.bincount(
         sid,
         weights=rate * (np.minimum(eff, H) - t0),
@@ -244,181 +225,107 @@ def _reconstruct(
                 )
 
     check_bw = "bandwidth" in enabled
-    # Stream-count peaks are only worth reconstructing when some server
-    # actually has a cap to compare against.
-    check_cap = "stream_cap" in enabled and any(
-        s.max_streams is not None for s in servers
-    )
+    check_cap = "stream_cap" in enabled
     check_acct = "accounting" in enabled
-    if (check_bw or check_cap or check_acct) and len(t0):
-        # Reconstruct each server's peak occupancy without a full event
-        # sort.  Occupancy only increases at admissions, so the peak is
-        # attained right after some admission i:
-        #
-        #   occ(i) = sum(rate_j : start_j <= start_i) - sum(rate_j : end_j <= start_i)
-        #
-        # over the streams of i's server (``<=`` on the ends encodes the
-        # simulator's departures-before-arrivals tie rule).  Starts are
-        # already time-sorted (admission order), so grouping by server is
-        # one O(n) stable integer sort; ends are sorted too unless watch
-        # times or crashes perturb them (then one extra argsort).  The
-        # prefix-sum buffers carry a leading zero so group bases are plain
-        # gathers, with no conditional ``np.where`` edge handling.
-        order_s = np.argsort(sid, kind="stable")  # radix: sid is uint8
-        g_start = t0[order_s]
-        counts = np.bincount(sid, minlength=num_servers)
-        offsets = np.zeros(num_servers + 1, dtype=np.intp)
-        np.cumsum(counts, out=offsets[1:])
-        n_adm = len(t0)
-        cs0 = np.empty(n_adm + 1)
-        cs0[0] = 0.0
-        np.cumsum(rate[order_s], out=cs0[1:])
-        if crash_records or bool((eff[1:] < eff[:-1]).any()):
-            order_e = order_s[np.argsort(eff[order_s], kind="stable")]
-            order_e = order_e[np.argsort(sid[order_e], kind="stable")]
-            g_end = eff[order_e]
-            ce0 = np.empty(n_adm + 1)
-            ce0[0] = 0.0
-            np.cumsum(rate[order_e], out=ce0[1:])
-        else:
-            # Ends share the starts' time order, so the grouped end array
-            # and its prefix sums coincide with the start-side ones.
-            g_end = te[order_s]
-            ce0 = cs0
-        # Absolute "streams ended at or before this admission" indices per
-        # group; only the binary search itself is segment-local.
-        idx = np.empty(n_adm, dtype=np.intp)
-        searchsorted = np.searchsorted
-        bounds = offsets.tolist()
-        for k in range(num_servers):
-            a = bounds[k]
-            b = bounds[k + 1]
-            if a < b:
-                idx[a:b] = searchsorted(
-                    g_end[a:b], g_start[a:b], side="right"
-                )
-        group_a = np.repeat(offsets[:-1], counts)
-        idx += group_a
-        # occ(i) = (cs0[i+1] - cs0[group start]) - (ce0[idx] - ce0[group start])
-        if ce0 is cs0:
-            occ = cs0[1:] - ce0[idx]
-        else:
-            occ = cs0[1:] - cs0[group_a] - ce0[idx] + ce0[group_a]
-        peaks = np.zeros(num_servers)
-        nonempty = np.flatnonzero(counts)
-        peaks[nonempty] = np.maximum.reduceat(occ, offsets[nonempty])
-        peaks_list = peaks.tolist()
-        if check_cap:
-            speaks = np.zeros(num_servers, dtype=np.int64)
-            speaks[nonempty] = np.maximum.reduceat(
-                np.arange(1, n_adm + 1) - idx, offsets[nonempty]
-            )
-            speaks_list = speaks.tolist()
-        # Per-server verdicts in plain Python (cheaper than numpy verdict
-        # arrays at these server counts); the detailed slow-path sweep only
-        # runs when something actually tripped.  The reconstruction
-        # accumulates in a different order than the loop, so allow
-        # accumulation noise on top of the admission epsilon.
-        for server in servers:
-            k = server.server_id
-            peak = peaks_list[k]
-            if check_bw and peak > server.bandwidth_mbps * (1 + 1e-9) + _EPS_MBPS:
-                mine = sid == k
-                _, when = _peak_time(t0[mine], eff[mine], rate[mine])
-                violations.append(
-                    Violation(
-                        "bandwidth",
-                        when,
-                        f"server {k} occupancy reconstructed at "
-                        f"{peak:.9f} Mb/s exceeds its "
-                        f"{server.bandwidth_mbps:.9f} Mb/s link",
-                    )
-                )
-            if (
-                check_acct
-                and abs(peak - server.peak_load_mbps)
-                > _EPS_MBPS + 1e-9 * peak
-            ):
-                violations.append(
-                    Violation(
-                        "accounting",
-                        H,
-                        f"server {k} reports peak "
-                        f"{server.peak_load_mbps:.9f} Mb/s but "
-                        f"reconstruction finds {peak:.9f}",
-                    )
-                )
-            if (
-                check_cap
-                and server.max_streams is not None
-                and speaks_list[k] > server.max_streams
-            ):
-                violations.append(
-                    Violation(
-                        "stream_cap",
-                        H,
-                        f"server {k} reached {int(speaks_list[k])} concurrent "
-                        f"streams over its cap of {server.max_streams}",
-                    )
-                )
-    if check_bw and backbone is not None and bool(red.any()):
-        capacity = backbone.capacity_mbps
-        peak, when = _peak_time(t0[red], eff[red], rate[red])
-        if peak > capacity * (1 + 1e-9) + _EPS_MBPS:
+    if not ((check_bw or check_cap or check_acct) and len(t0)):
+        return
+    # Each server's occupancy replayed from the log in the kernel's order,
+    # independent of StreamingServer's bookkeeping: its peak follows an
+    # admission, its last value is the shadow account.
+    events = RunEvents(log, table, H)
+    for server, (mine, run, count) in zip(servers, server_folds(events)):
+        k = server.server_id
+        at = int(np.argmax(run)) if len(run) else 0
+        peak = float(run[at]) if len(run) else 0.0
+        if len(run):
+            audit.shadow_used[k] = float(run[-1])
+            audit.shadow_streams[k] = int(count[-1])
+        if check_bw and peak > server.bandwidth_mbps * (1 + 1e-9) + _EPS_MBPS:
             violations.append(
                 Violation(
                     "bandwidth",
-                    when,
-                    f"backbone occupancy reconstructed at {peak:.9f} "
+                    float(events.time[mine][at]),
+                    f"server {k} occupancy reconstructed at "
+                    f"{peak:.9f} Mb/s exceeds its "
+                    f"{server.bandwidth_mbps:.9f} Mb/s link",
+                )
+            )
+        if check_acct and abs(peak - server.peak_load_mbps) > _EPS_MBPS + 1e-9 * peak:
+            violations.append(
+                Violation(
+                    "accounting",
+                    H,
+                    f"server {k} reports peak "
+                    f"{server.peak_load_mbps:.9f} Mb/s but "
+                    f"reconstruction finds {peak:.9f}",
+                )
+            )
+        streams = int(count.max()) if len(count) else 0
+        if (
+            check_cap
+            and server.max_streams is not None
+            and streams > server.max_streams
+        ):
+            violations.append(
+                Violation(
+                    "stream_cap",
+                    H,
+                    f"server {k} reached {streams} concurrent "
+                    f"streams over its cap of {server.max_streams}",
+                )
+            )
+    if check_bw and backbone is not None and bool(red.any()):
+        capacity = backbone.capacity_mbps
+        mine = np.append(red, False)[events.row] | (events.kind == CRASH)
+        mine = np.flatnonzero(mine)
+        mine = mine[np.lexsort((events.key[mine], events.time[mine]))]
+        run, _ = fold(events, mine, backbone=True)
+        at = int(np.argmax(run))
+        if run[at] > capacity * (1 + 1e-9) + _EPS_MBPS:
+            violations.append(
+                Violation(
+                    "bandwidth",
+                    float(events.time[mine][at]),
+                    f"backbone occupancy reconstructed at {run[at]:.9f} "
                     f"Mb/s exceeds its {capacity:.9f} Mb/s capacity",
                 )
             )
 
 
 def run_audited(
-    simulator,
-    trace,
-    *,
-    auditors: "list[InvariantAuditor] | None" = None,
-    horizon_min: float | None = None,
-    failures=None,
-    failover_on_down: bool = False,
-    failover=None,
-    rereplication=None,
+    simulator, trace, *, auditors: "list[InvariantAuditor] | None" = None,
+    **run_kwargs,
 ) -> tuple[SimulationResult, AuditReport]:
-    """Run *simulator* on *trace* with in-situ invariant auditing.
+    """Run *simulator* on *trace* (``run()``'s keywords) with auditing.
 
     Returns the (bit-identical to ``simulator.run``) result plus the
     :class:`AuditReport`.  Violations are collected, not raised — call
     :meth:`AuditReport.raise_if_failed` (as ``run(auditors=...)`` does) to
-    escalate.
+    escalate.  Any engine that fills the log can be audited: the kernel
+    and the ``vector`` engine's batched path alike.
     """
-    return _run_audited(
-        simulator,
-        trace,
-        auditors,
-        None,
-        horizon_min=horizon_min,
-        failures=failures,
-        failover_on_down=failover_on_down,
-        failover=failover,
-        rereplication=rereplication,
+    log = AuditLog()
+    result = simulator._simulate(trace, log=log, **run_kwargs)
+    return audit_log(
+        log, result, standard_auditors() if auditors is None else auditors
     )
 
 
-def _run_audited(
-    simulator, trace, auditors, observer, **run_kwargs
+def audit_log(
+    log: AuditLog, result: SimulationResult, auditors: list
 ) -> tuple[SimulationResult, AuditReport]:
-    """:func:`run_audited` with an optional observer on the same run."""
-    if auditors is None:
-        auditors = standard_auditors()
+    """Check one finished run from its filled log.
+
+    A run of the kernel comes back relabelled ``engine_path="audited"``
+    (the kernel with its log armed); other engines keep their path.
+    """
+    if result.engine_path == "optimized":
+        result = replace(result, engine_path="audited")
     enabled = (
         frozenset().union(*(a.checks for a in auditors))
         if auditors
         else frozenset()
     )
-    log = AuditLog()
-    result = simulator._simulate(trace, observer=observer, log=log, **run_kwargs)
     soa = log.soa
     times = soa.times
     holds = soa.holds
@@ -453,78 +360,25 @@ def _run_audited(
                 )
             )
 
-    # Rebuild the admission table from the decision codes and the trace's
-    # own arrays (no per-element Python conversion).
-    simulated = soa.num_simulated
-    if isinstance(log.decisions, bytearray):
-        # uint8 keeps the downstream grouping argsort on the radix path.
-        dec = np.frombuffer(log.decisions, dtype=np.uint8)
-    else:  # pragma: no cover - clusters this large are not exercised
-        dec = np.asarray(log.decisions, dtype=np.int16)
-    adm = np.flatnonzero(dec)
-    codes = dec.take(adm)
-    codes -= codes.dtype.type(1)
-    red = codes >= num_servers
-    sid = np.where(red, codes - codes.dtype.type(num_servers), codes)
-    vid = soa.videos.take(adm)
-    t0 = times.take(adm)
-    te = t0 + holds.take(adm)
-    # Delivered rates gathered from the layout, not the loop: a stream
-    # plays its server's replica rate, a redirected one the best copy.
-    rate_matrix = simulator._rate_matrix
-    rate = np.where(red, simulator._best_rates[vid], rate_matrix[vid, sid])
-
-    if log.retry_admissions:
-        # Fold failover-retry admissions into the reconstruction tables.
-        # The tables must stay start-time sorted for the grouped
-        # prefix-sum peak reconstruction; a stable merge sort restores
-        # that after concatenation (retry starts interleave arrivals).
-        r_t0 = np.array([r[0] for r in log.retry_admissions])
-        r_idx = np.array([r[1] for r in log.retry_admissions], dtype=np.intp)
-        r_sid = np.array([r[2] for r in log.retry_admissions], dtype=np.int64)
-        r_vid = soa.videos[r_idx]
-        t0 = np.concatenate((t0, r_t0))
-        te = np.concatenate((te, r_t0 + holds[r_idx]))
-        sid = np.concatenate((sid.astype(np.int64), r_sid))
-        rate = np.concatenate((rate, rate_matrix[r_vid, r_sid]))
-        red = np.concatenate((red, np.zeros(len(r_t0), dtype=bool)))
-        vid = np.concatenate((vid, r_vid))
-        order = np.argsort(t0, kind="stable")
-        t0 = t0[order]
-        te = te[order]
-        sid = sid[order]
-        rate = rate[order]
-        red = red[order]
-        vid = vid[order]
-
+    table = admission_table(log)
+    t0, sid = table.t0, table.sid
     audit = Trajectory(num_servers, result.horizon_min)
-    audit.arrivals_total = trace.num_requests
+    audit.arrivals_total = soa.num_requests
     # Every simulated arrival ends admitted (on arrival or by a failover
     # retry) or rejected, so the rejected tally is the complement of the
     # admissions.
-    audit.rejected = simulated - int(len(t0))
-    audit.rate_matrix = rate_matrix
+    audit.rejected = soa.num_simulated - int(len(t0))
+    audit.rate_matrix = log.rate_matrix
     audit.crash_records = log.crash_records
     audit.repair_records = log.repair_records
     audit.admission_times = t0
     audit.admission_servers = sid
-    audit.backbone_capacity_mbps = simulator._backbone_mbps
+    audit.backbone_capacity_mbps = (
+        log.backbone.capacity_mbps if log.backbone is not None else 0.0
+    )
     audit.last_event_time = log.last_event_time
     audit.events_audited = result.num_events
-    _reconstruct(
-        audit,
-        violations,
-        t0,
-        te,
-        sid,
-        rate,
-        red,
-        vid,
-        log.crash_records,
-        servers,
-        log.backbone,
-        enabled,
-    )
+    _reconstruct(audit, violations, log, table, enabled)
 
     for auditor in auditors:
         violations.extend(auditor.finish(audit, servers, result))

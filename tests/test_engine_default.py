@@ -1,8 +1,9 @@
 """The default engine and the provenance every run reports.
 
 ``vector`` is the default engine.  On the paper's base model (static
-round robin, no chaos, no backbone) it runs its batched path; everywhere
-else it hands the run to the ``optimized`` loop and names the reason.
+round robin, no chaos, no backbone) it runs its batched path, observed or
+audited alike; everywhere else it hands the run to the ``optimized`` loop
+and names the reason.
 Either way the outcome is ``same_outcome``-identical to the reference
 oracle; the provenance fields (``engine_path``, ``handoff_reason``,
 ``vector_fallbacks``) describe the run and never enter an outcome
@@ -77,17 +78,19 @@ class TestDefaultPathPin:
         assert solved.report.handoff_reasons == {reason: 2}
         assert f"(handoff: {reason} 2)" in solved.format()
 
-    def test_observer_hands_off(self):
+    def test_observer_keeps_vector_path(self):
         from repro.observe import Observer, ObserverConfig
 
-        observed = solve(
-            _paper_config(40.0), observer=Observer(ObserverConfig())
-        )
+        observer = Observer(ObserverConfig(trace_events=True))
+        observed = solve(_paper_config(40.0), observer=observer)
         plain = solve(_paper_config(40.0))
         for got, want in zip(observed.results, plain.results):
-            assert got.engine_path == "optimized"
-            assert got.handoff_reason == "observer"
+            assert got.engine_path == want.engine_path == "vector"
+            assert got.handoff_reason is None
             assert got.same_outcome(want)
+        assert "engine vector 2 runs" in observed.format()
+        assert "handoff" not in observed.format()
+        assert len(observer.registry.series["sim.server_load_mbps"]) > 0
 
     def test_audited_run_reports_its_loop(self):
         solved = solve(_paper_config(40.0, engine="audited"))
@@ -100,7 +103,7 @@ class TestProvenanceIsNotOutcome:
         other = replace(
             result,
             engine_path="optimized",
-            handoff_reason="observer",
+            handoff_reason="dispatcher",
             vector_fallbacks=None,
         )
         assert result.same_outcome(other)

@@ -189,6 +189,36 @@ class TestConsolidatedCli:
         assert "observation report" in out
         assert "sim.server_load_mbps" in out
 
+    def test_observed_pipeline_reports_the_workers_it_ran_on(self, capsys):
+        # Observed simulations run in-process whatever --jobs says; the
+        # report says so, and observing keeps the vector engine's path.
+        code = repro_main(
+            ["pipeline", "--quick", "--runs", "4", "--observe", "--jobs", "2"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "jobs=1 " in out and "jobs=2" not in out
+        assert "engine vector 4 runs" in out
+        assert "handoff" not in out
+        with pytest.raises(SystemExit):
+            repro_main(["pipeline", "--help"])
+        assert "observed simulations" in capsys.readouterr().out
+
+    def test_serve_prints_its_engine_path(self, capsys):
+        for engine, path in (("vector", "vector"), ("optimized", "optimized")):
+            code = repro_main(
+                ["serve", "--quick", "--epochs", "2", "--engine", engine]
+            )
+            assert code == 0
+            assert f"engine {path} 2 runs" in capsys.readouterr().out
+        code = repro_main(
+            ["serve", "--quick", "--epochs", "2", "--dispatcher", "least_loaded"]
+        )
+        assert code == 0
+        assert "engine optimized 2 runs (handoff: dispatcher 2)" in (
+            capsys.readouterr().out
+        )
+
     def test_experiments_delegation(self, capsys):
         """Old harness invocations keep working through the new front door."""
         with pytest.raises(SystemExit) as excinfo:

@@ -158,7 +158,7 @@ class TestFeatureCrossings:
         def _no_delegation(self, *args, **kwargs):
             raise AssertionError("base model must take the batched path")
 
-        monkeypatch.setattr(VoDClusterSimulator, "run", _no_delegation)
+        monkeypatch.setattr(VoDClusterSimulator, "_simulate", _no_delegation)
         got = vector.run(trace, **run_kwargs)
         assert expected.same_outcome(got)
 

@@ -158,18 +158,16 @@ class TestAuditedRunEquivalence:
 
 
 class RecordingObserver(Observer):
-    """An observer that also keeps the raw per-run samples and events."""
+    """An observer that also keeps the per-run rows rebuilt from the log."""
 
-    def record_simulation(self, *, samples, traced_events, **kwargs):
+    def _fold_simulation(self, run, samples, traced_events, *args):
         self.samples = samples
         self.traced_events = traced_events
-        super().record_simulation(
-            samples=samples, traced_events=traced_events, **kwargs
-        )
+        super()._fold_simulation(run, samples, traced_events, *args)
 
 
 class TestAuditedRunObserved:
-    """Auditing and observation ride on the same event loop."""
+    """Auditing and observation read the same log of one event loop."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -200,10 +198,11 @@ class TestAuditedRunObserved:
         assert plain.same_outcome(audited)
         assert audited.engine_path == "audited"
         assert plain.engine_path == "optimized"
+        # Reading the tracer replays the parked logs into rows.
+        assert len(audited_watched.tracer) == len(watched.tracer) > 0
         assert watched.samples, "the scenario must produce samples"
         assert audited_watched.samples == watched.samples
         assert audited_watched.traced_events == watched.traced_events
-        assert len(audited_watched.tracer) == len(watched.tracer) > 0
 
 
 def one_video_sim(replicas, num_servers=2):
